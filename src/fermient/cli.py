@@ -18,7 +18,6 @@ import dataclasses
 import io
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
@@ -68,14 +67,21 @@ def _resolve_tol(pairs: list[str] | None) -> Tolerances:
     if not pairs:
         return TOL
     overrides = {}
-    valid = {f.name for f in dataclasses.fields(Tolerances)}
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(Tolerances)}
     for item in pairs:
         if "=" not in item:
             raise FermientError(f"--tol expects NAME=VALUE, got {item!r}")
         key, val = item.split("=", 1)
-        if key not in valid:
-            raise FermientError(f"unknown tolerance {key!r}; valid: {sorted(valid)}")
-        overrides[key] = float(val)
+        if key not in kinds:
+            raise FermientError(f"unknown tolerance {key!r}; valid: {sorted(kinds)}")
+        try:
+            value = kinds[key](val)
+        except ValueError:
+            raise FermientError(
+                f"--tol {key} needs a {kinds[key].__name__}, got {val!r}") from None
+        if not math.isfinite(value):
+            raise FermientError(f"--tol {key} must be finite, got {val!r}")
+        overrides[key] = value
     return dataclasses.replace(TOL, **overrides)
 
 
@@ -168,10 +174,6 @@ def _emit_table(columns: list[str], rows: list[list], args, tol: Tolerances) -> 
             w.writerow([fmt17(v) if isinstance(v, float) else v for v in row])
         sink.lines.extend(buf.getvalue().splitlines())
     sink.flush()
-
-
-def _load_state_file(path: str) -> PureStateN:
-    return load_state(path)
 
 
 def _sniff_load(path: str):
@@ -315,7 +317,7 @@ def cmd_yang(args) -> int:
         "esq_upper_candidate": ana.esq_bound_paper / scale,
         "unit": "bits" if args.bits else "nats",
     }
-    if args.numeric and args.m >= 1:
+    if args.numeric:
         st = yang_state(YangParams(args.m, args.n))
         r2 = reduce_mixed(st, 2)
         lam = np.sort(eig_herm(r2.matrix, vectors=False, tol=tol).eigenvalues)[::-1]
@@ -343,7 +345,7 @@ def _filtered_entries(seed: int, n_random: int, m_filter: int | None,
                       n_filter: int | None, states: list[str]) -> list[CorpusEntry]:
     entries = list(_corpus(seed, n_random))
     for i, path in enumerate(states):
-        st = _load_state_file(path)
+        st = load_state(path)
         entries.append(CorpusEntry(f"user-{i}-{path}", "user", st,
                                    {"M": st.basis.n_modes, "N": st.basis.n_particles}))
     if m_filter is not None:
@@ -516,7 +518,10 @@ def _suite_yang(seed: int, n_random: int, m_filter, n_filter, states,
             r1 = reduce_mixed(st, 1)
             top1 = float(np.max(eig_herm(r1.matrix, vectors=False, tol=tol)
                                 .eigenvalues))
-            out.append(bound_report_coleman(top1, N, m, n, tol))
+            out.append(BoundReport(
+                name="yang/occupation-bound", lhs=1.0 / N, rhs=top1,
+                slack=1.0 / N - top1, holds=bool(top1 <= 1.0 / N + 1e-9),
+                context={"m": m, "n": n, "N": N}))
             top2 = float(lam[0])
             rep = BoundReport(
                 name="yang/pair-eigenvalue-bound", lhs=2.0 / (N - 1) if N > 1
@@ -526,14 +531,6 @@ def _suite_yang(seed: int, n_random: int, m_filter, n_filter, states,
                 context={"m": m, "n": n, "N": N})
             out.append(rep)
     return out
-
-
-def bound_report_coleman(top1: float, N: int, m: int, n: int,
-                         tol: Tolerances) -> BoundReport:
-    return BoundReport(name="yang/occupation-bound", lhs=1.0 / N, rhs=top1,
-                       slack=1.0 / N - top1,
-                       holds=bool(top1 <= 1.0 / N + 1e-9),
-                       context={"m": m, "n": n, "N": N})
 
 
 _SUITES = {
@@ -564,6 +561,9 @@ def cmd_verify(args) -> int:
                           ensemble=args.ensemble)
         specs.append((s, kwargs))
     if args.jobs > 1:
+        # imported here: the process pool's modules add ~2 MB to the resident
+        # size of every serial run
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as ex:
             results = list(ex.map(_task_runner, specs))
     else:
@@ -668,7 +668,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="tolerance override, repeatable")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--out", "-o", default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--stamp", action="store_true",
                    help="embed a wall-clock stamp (breaks byte-identity)")
 
@@ -730,6 +729,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--max-iters", type=int, default=4, help="ef sweeps per restart")
     pv.add_argument("--ensemble", choices=("rank", "square"), default="rank",
                     help="ef ensemble size rule")
+    pv.add_argument("--jobs", type=int, default=1,
+                    help="worker processes, one suite each")
     _add_common(pv)
     pv.set_defaults(func=cmd_verify)
 

@@ -23,12 +23,10 @@ class Tolerances:
     eig_residual: float = 1e-9       # relative max |A u - lambda u|
     # spectral functions
     support_cutoff: float = 1e-12    # eigenvalues below this are treated as 0
-    psd_clamp: float = 1e-10         # negatives this small are clamped to 0
     psd_fail: float = 1e-6           # negatives beyond this raise NotPSDError
     sqrt_square: float = 1e-8
     # bound evaluation
     bound_slack: float = 1e-9        # holds <=> slack >= -bound_slack
-    recon_frobenius: float = 1e-8    # ensemble reconstruction check
     ef_sweep_tol: float = 1e-10      # optimizer sweep improvement threshold
 
 

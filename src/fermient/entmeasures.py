@@ -28,10 +28,10 @@ import numpy as np
 from .config import CAP, TOL, Capacities, Tolerances
 from .errors import (CapacityError, NormalizationError, RangeError,
                      ShapeError)
-from .fockbasis import RankedBasis, binom
+from .fockbasis import RankedBasis
 from .hermlin import (Spectrum, eig_herm, kron, sqrt_from_spectrum, sqrt_psd,
                       trace_product)
-from .rdmcore import (ReducedDM, TensorDM, UNIT, _reduction_table,
+from .rdmcore import (ReducedDM, TensorDM, UNIT, reduce_amplitudes,
                       reduce_mixed, reduce_pure, tensor_ptrace)
 from .report import BoundReport, bound_report
 from .statekit import (MixedStateN, PureStateN, YangParams, as_mixture,
@@ -113,7 +113,7 @@ def mutual_info_bounds(state: PureStateN | MixedStateN,
     First report: mutual information vs the purity bound (equality for single
     determinants). Second: purity bound vs its flat-spectrum relaxation.
     """
-    basis = state.basis if isinstance(state, PureStateN) else state.basis
+    basis = state.basis
     if basis.n_particles < 2:
         raise RangeError("mutual information bounds need N >= 2")
     r1 = reduce_mixed(state, 1)
@@ -188,7 +188,6 @@ def _apply_blockwise(vec: np.ndarray, mats: list[np.ndarray],
                      dims: list[int]) -> np.ndarray:
     """Apply (B_0 x B_1 x ...) to a vector reshaped over the block dims."""
     arr = vec.reshape(dims)
-    nb = len(dims)
     for i, mat in enumerate(mats):
         arr = np.moveaxis(np.tensordot(mat, arr, axes=([1], [i])), 0, i)
     return arr.reshape(-1)
@@ -676,17 +675,10 @@ def min_s2_search(M: int, N: int, opts: MinS2Options | None = None,
     if N < 2:
         raise RangeError("2-RDM search needs N >= 2")
     basis = RankedBasis(M, N)
-    table = _reduction_table(M, N, 2)
-    d2 = binom(M, 2)
-    c_norm = float(binom(N, 2))
     cutoff = tol.support_cutoff
 
     def s2_fast(amps: np.ndarray) -> float:
-        rho = np.zeros((d2, d2), dtype=complex)
-        for rows, sidx, sgns in table:
-            v = sgns * amps[sidx]
-            rho[np.ix_(rows, rows)] += np.outer(v, v.conj())
-        lam = np.linalg.eigvalsh(rho / c_norm)
+        lam = np.linalg.eigvalsh(reduce_amplitudes(amps, M, N, 2))
         pos = lam[lam > cutoff]
         return float(-(pos * np.log(pos)).sum())
 

@@ -32,6 +32,8 @@ def as_hermitian(a: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     a = a.astype(complex, copy=True)
+    if not np.isfinite(a).all():
+        raise ShapeError("matrix has non-finite entries")
     scale = max(np.abs(a).max(initial=0.0), 1.0)
     defect = np.abs(a - a.conj().T).max(initial=0.0)
     if defect > tol.hermiticity * scale:

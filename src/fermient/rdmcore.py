@@ -6,8 +6,11 @@ The k-particle RDM of |psi> on the wedge basis is
 
 with K running over the (N-k)-subsets disjoint from both I and J, and
 c = 1/C(N,k) for unit trace ("physics" normalization scales the trace to
-C(N,k) instead). The inner loop accumulates one rank-1 contribution per K,
-with index/sign tables cached per (M, N, k).
+C(N,k) instead). One index/sign table per (M, N, k), of shape
+C(M,k) x C(M,N-k) with sign 0 where I and K overlap, turns this into
+rho = G G^+ / C(N,k) with G = sgn * psi[idx]. Mixtures stack their
+sqrt(w)-weighted terms as extra columns of G, and the partial trace of a
+k-RDM to k_out particles applies the (M, k, k_out) table on both sides.
 
 A dense oracle (`brute_force_reduce`) embeds the state into the full M**N
 tensor power with explicit antisymmetrization signs, partial-traces there,
@@ -27,8 +30,7 @@ import numpy as np
 from .config import CAP, TOL, Capacities, Tolerances
 from .errors import (CapacityError, NormalizationError, RangeError,
                      ShapeError)
-from .fockbasis import (RankedBasis, binom, enumerate_supersets, merge_sign,
-                        modes_of, rank, unrank)
+from .fockbasis import RankedBasis, binom, modes_of, unrank
 from .statekit import MixedStateN, PureStateN, as_mixture
 
 _FMT = "{:.17g}"
@@ -76,39 +78,87 @@ class TensorDM:
         return (vecs * w) @ vecs.conj().T
 
 
+# K-columns per block: bounds the table build's temporaries and the size of
+# each gathered block of G, which peak memory (not speed) is sensitive to
+_BLOCK = 256
+
+
+def _colex_masks(M: int, j: int) -> np.ndarray:
+    """Bitmasks of all j-subsets of M modes in colex order ([0] for j = 0)."""
+    masks = np.zeros(1, dtype=np.uint64)
+    for t in range(j):
+        # the (t+1)-subsets whose top mode is c: the t-subsets of modes < c
+        # (a colex prefix of length C(c, t)) with bit c added
+        masks = np.concatenate([masks[:binom(c, t)] | np.uint64(1 << c)
+                                for c in range(t, M)])
+    return masks
+
+
 @lru_cache(maxsize=None)
-def _reduction_table(M: int, N: int, k: int):
-    """Per-complement gather tables: (wedge rows, state indices, merge signs)."""
-    full = RankedBasis(M, N)
-    sub = RankedBasis(M, k)
-    comp = enumerate_supersets(sub, 0, N - k)
-    out = []
-    for K in comp:
-        rows = []
-        sidx = []
-        sgns = []
-        for I in enumerate_supersets(sub, K, k):
-            rows.append(rank(sub, I))
-            sidx.append(rank(full, I | K))
-            sgns.append(merge_sign(I, K))
-        out.append((np.asarray(rows), np.asarray(sidx), np.asarray(sgns, dtype=float)))
-    return out
+def _gather_table(M: int, N: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index/sign table of the k-particle reduction on RankedBasis(M, N).
+
+    Rows are the k-sets I of RankedBasis(M, k), columns the (N-k)-sets K,
+    both in colex order. idx[I, K] is the rank of I | K in RankedBasis(M, N)
+    and sgn[I, K] is merge_sign(I, K); where I and K overlap, sgn is 0.
+    """
+    rows = _colex_masks(M, k)
+    cols = _colex_masks(M, N - k)
+    modes = np.arange(M, dtype=np.uint64)
+    pascal = np.array([[binom(n, t) for t in range(N + 2)] for n in range(M)],
+                      dtype=np.int64)
+    row_bits = ((rows[:, None] >> modes) & np.uint64(1)).astype(np.int32)
+    # above[I, m]: modes of I above m, so merge_sign(I, K) is the parity of
+    # the sum over m in K of above[I, m]
+    above = k - np.cumsum(row_bits, axis=1, dtype=np.int32)
+    idx = np.zeros((rows.size, cols.size), dtype=np.int32)
+    sgn = np.zeros((rows.size, cols.size), dtype=np.int8)
+    for c0 in range(0, cols.size, _BLOCK):
+        K = cols[c0:c0 + _BLOCK]
+        union = rows[:, None] | K
+        # colex rank sum_t C(s_t, t+1), scanned over the modes
+        ranks = np.zeros(union.shape, dtype=np.int64)
+        seen = np.zeros(union.shape, dtype=np.int64)
+        for m in range(M):
+            bit = ((union >> modes[m]) & np.uint64(1)).astype(np.int64)
+            ranks += bit * pascal[m, seen + 1]
+            seen += bit
+        col_bits = ((K[:, None] >> modes) & np.uint64(1)).astype(np.int32)
+        parity = (above @ col_bits.T) & 1
+        disjoint = (rows[:, None] & K) == 0
+        idx[:, c0:c0 + K.size] = np.where(disjoint, ranks, 0)
+        sgn[:, c0:c0 + K.size] = np.where(disjoint, 1 - 2 * parity, 0)
+    return idx, sgn
+
+
+def reduce_amplitudes(amps: np.ndarray, M: int, N: int, k: int) -> np.ndarray:
+    """Unit-trace k-RDM matrix sum_t G_t G_t^+ / C(N, k) of amplitude rows.
+
+    `amps` holds one amplitude vector over RankedBasis(M, N) per row, each
+    already scaled by the square root of its mixture weight (a 1-D vector is
+    a single pure state). G_t = sgn * amps_t[idx] over the gather table;
+    the columns are accumulated in blocks of _BLOCK.
+    """
+    if not 1 <= k <= N:
+        raise RangeError(f"need 1 <= k <= N={N}, got k={k}")
+    amps = np.atleast_2d(amps)
+    idx, sgn = _gather_table(M, N, k)
+    rho = np.zeros((idx.shape[0], idx.shape[0]), dtype=complex)
+    for c0 in range(0, idx.shape[1], _BLOCK):
+        block = slice(c0, c0 + _BLOCK)
+        G = sgn[:, block] * amps[:, idx[:, block]]       # (terms, rows, cols)
+        G = G.transpose(1, 0, 2).reshape(idx.shape[0], -1)
+        rho += G @ G.conj().T
+    # a GEMM need not round (i, j) and (j, i) alike; keep rho exactly Hermitian
+    return (rho + rho.conj().T) / (2 * binom(N, k))
 
 
 def reduce_pure(state: PureStateN, k: int) -> ReducedDM:
     """Unit-trace k-particle RDM of a pure state."""
     N = state.basis.n_particles
     M = state.basis.n_modes
-    if not 1 <= k <= N:
-        raise RangeError(f"need 1 <= k <= N={N}, got k={k}")
-    sub = RankedBasis(M, k)
-    rho = np.zeros((sub.dim, sub.dim), dtype=complex)
-    amps = state.amplitudes
-    for rows, sidx, sgns in _reduction_table(M, N, k):
-        v = sgns * amps[sidx]
-        rho[np.ix_(rows, rows)] += np.outer(v, v.conj())
-    rho /= binom(N, k)
-    return ReducedDM(k=k, basis=sub, matrix=rho, normalization=UNIT,
+    rho = reduce_amplitudes(state.amplitudes, M, N, k)
+    return ReducedDM(k=k, basis=RankedBasis(M, k), matrix=rho, normalization=UNIT,
                      n_particles=N, source=f"reduce_pure(M={M},N={N},k={k})")
 
 
@@ -117,39 +167,33 @@ def reduce_mixed(state: MixedStateN | PureStateN, k: int) -> ReducedDM:
     mix = as_mixture(state)
     N = mix.basis.n_particles
     M = mix.basis.n_modes
-    rho = None
-    for w, st in mix.terms:
-        part = reduce_pure(st, k).matrix
-        rho = w * part if rho is None else rho + w * part
-    sub = RankedBasis(M, k)
-    return ReducedDM(k=k, basis=sub, matrix=rho, normalization=UNIT,
+    amps = np.stack([math.sqrt(w) * st.amplitudes for w, st in mix.terms])
+    rho = reduce_amplitudes(amps, M, N, k)
+    return ReducedDM(k=k, basis=RankedBasis(M, k), matrix=rho, normalization=UNIT,
                      n_particles=N, source=f"reduce_mixed(M={M},N={N},k={k})")
 
 
 def ptrace_rdm(r: ReducedDM, k_out: int) -> ReducedDM:
-    """Trace a unit-trace k-RDM down to k_out < k particles."""
+    """Trace a unit-trace k-RDM down to k_out < k particles.
+
+    out[A, B] = sum_X sgn[A, X] sgn[B, X] R[idx[A, X], idx[B, X]] / C(k, k_out)
+    over the (M, k, k_out) gather table.
+    """
     if r.normalization != UNIT:
         raise NormalizationError("ptrace_rdm expects a unit-trace RDM")
     if not 1 <= k_out < r.k:
         raise RangeError(f"need 1 <= k_out < k={r.k}, got {k_out}")
     M = r.basis.n_modes
-    sub = RankedBasis(M, k_out)
-    out = np.zeros((sub.dim, sub.dim), dtype=complex)
-    for X in enumerate_supersets(sub, 0, r.k - k_out):
-        rows = []
-        fulls = []
-        sgns = []
-        for A in enumerate_supersets(sub, X, k_out):
-            rows.append(rank(sub, A))
-            fulls.append(rank(r.basis, A | X))
-            sgns.append(merge_sign(A, X))
-        rows = np.asarray(rows)
-        fulls = np.asarray(fulls)
-        s = np.asarray(sgns, dtype=float)
-        out[np.ix_(rows, rows)] += np.outer(s, s) * r.matrix[np.ix_(fulls, fulls)]
+    idx, sgn = _gather_table(M, r.k, k_out)
+    out = np.zeros((idx.shape[0], idx.shape[0]), dtype=complex)
+    for c0 in range(0, idx.shape[1], _BLOCK):
+        i = idx[:, c0:c0 + _BLOCK]
+        s = sgn[:, c0:c0 + _BLOCK]
+        out += np.einsum("ax,bx,abx->ab", s, s, r.matrix[i[:, None], i[None, :]])
     out /= binom(r.k, k_out)
-    return ReducedDM(k=k_out, basis=sub, matrix=out, normalization=UNIT,
-                     n_particles=r.n_particles, source=f"ptrace_rdm<-{r.source}")
+    return ReducedDM(k=k_out, basis=RankedBasis(M, k_out), matrix=out,
+                     normalization=UNIT, n_particles=r.n_particles,
+                     source=f"ptrace_rdm<-{r.source}")
 
 
 def rescale(r: ReducedDM, target: str, tol: Tolerances = TOL) -> ReducedDM:

@@ -33,6 +33,8 @@ class PureStateN:
         if self.amplitudes.shape != (self.basis.dim,):
             raise ShapeError(
                 f"amplitude vector has shape {self.amplitudes.shape}, basis dim {self.basis.dim}")
+        if not np.isfinite(self.amplitudes).all():
+            raise NormalizationError("state amplitudes must be finite")
         nrm = float(np.linalg.norm(self.amplitudes))
         if abs(nrm - 1.0) > 1e-12:
             raise NormalizationError(f"state norm {nrm!r} is not 1 within 1e-12")

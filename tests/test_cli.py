@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -220,3 +223,45 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert "fermient" in capsys.readouterr().out
+
+
+def test_tol_overrides_parse_by_field_type(capsys):
+    yang = ["yang", "--m", "3", "--n", "1", "--numeric"]
+    assert cli.main(yang + ["--tol", "jacobi_max_sweeps=50"]) == 0
+    meta = _json_lines(capsys.readouterr().out)[0]["meta"]
+    assert meta["tolerances"]["jacobi_max_sweeps"] == 50
+    for bad in ("jacobi_max_sweeps=5.5", "unit_trace=nan", "bound_slack=inf",
+                "hermiticity=abc"):
+        assert cli.main(yang + ["--tol", bad]) == 2, bad
+    capsys.readouterr()
+
+
+def test_jobs_is_a_verify_option_only(tmp_path, capsys):
+    p = _write_yang(tmp_path, 2, 1)
+    for argv in (["state", "yang", "--m", "2", "--n", "1"], ["rdm", str(p), "--k", "1"],
+                 ["entropy", str(p)], ["yang", "--m", "2", "--n", "1"], ["sweep", "s2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--jobs", "2"])
+        assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_verify_reports_identical_across_processes(tmp_path):
+    # reductions run through BLAS, so compare fresh interpreters, not one process
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONHASHSEED="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "fermient.cli", "verify", "all", "--random", "3",
+            "--restarts", "1", "--max-iters", "2"]
+
+    def run(*extra):
+        done = subprocess.run(argv + list(extra), env=env, cwd=tmp_path,
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr.decode()
+        return done.stdout
+
+    first, second, jobs2 = run(), run(), run("--jobs", "2")
+    assert first == second
+    # only the meta line (it embeds the jobs option) may differ
+    assert first.splitlines()[1:] == jobs2.splitlines()[1:]
+    assert len(first.splitlines()) > 100

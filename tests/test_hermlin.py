@@ -126,3 +126,13 @@ def test_eig_trace_and_norm_invariants(n, seed):
     lam = eig_herm(a, vectors=False).eigenvalues
     assert lam.sum() == pytest.approx(np.trace(a).real, abs=1e-10 * max(n, 1))
     assert np.linalg.norm(lam) == pytest.approx(np.linalg.norm(a), abs=1e-10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.nan])
+def test_as_hermitian_rejects_non_finite(bad):
+    a = np.eye(3, dtype=complex)
+    a[1, 1] = bad
+    with pytest.raises(ShapeError):
+        as_hermitian(a)
+    with pytest.raises(ShapeError):
+        eig_herm(a)

@@ -36,6 +36,7 @@ from fermient import (
     tensor_ptrace,
     yang_state,
 )
+from fermient.fockbasis import enumerate_supersets, merge_sign, unrank
 
 
 def _spectrum(mat):
@@ -271,3 +272,43 @@ def test_fermirdm_malformed():
         loads_rdm("\n".join(clipped) + "\n")
     # comment lines are transparent
     assert np.array_equal(loads_rdm("# note\n" + good).matrix, r.matrix)
+
+
+def test_gather_table_matches_scalar_reference():
+    # every entry against the per-element rank/merge_sign definitions
+    from fermient.rdmcore import _gather_table
+
+    for M in range(1, 8):
+        for N in range(1, M + 1):
+            full = RankedBasis(M, N)
+            for k in range(1, N + 1):
+                sub = RankedBasis(M, k)
+                idx, sgn = _gather_table(M, N, k)
+                comp = enumerate_supersets(sub, 0, N - k)
+                assert idx.shape == sgn.shape == (sub.dim, len(comp))
+                for row in range(sub.dim):
+                    I = unrank(sub, row)
+                    for col, K in enumerate(comp):
+                        if I & K:
+                            assert sgn[row, col] == 0
+                        else:
+                            assert idx[row, col] == rank(full, I | K)
+                            assert sgn[row, col] == merge_sign(I, K)
+
+
+@pytest.mark.parametrize("M,N,k", [(4, 2, 1), (5, 3, 2), (5, 3, 3), (6, 2, 2)])
+def test_mixed_reduction_agrees_with_brute_force(M, N, k):
+    basis = RankedBasis(M, N)
+    weights = [0.5, 0.3, 0.2]
+    states = [random_pure_state(basis, seed=100 + i) for i in range(3)]
+    fast = reduce_mixed(convex_mixture(weights, states), k).matrix
+    slow = sum(w * brute_force_reduce(st, k).matrix for w, st in zip(weights, states))
+    np.testing.assert_allclose(fast, slow, atol=1e-12)
+
+
+@pytest.mark.parametrize("M,N,k,k_out", [(6, 4, 3, 1), (6, 4, 3, 2), (6, 4, 4, 1),
+                                         (5, 3, 3, 2)])
+def test_ptrace_skips_several_particles(M, N, k, k_out):
+    st = random_pure_state(RankedBasis(M, N), seed=M + N + k)
+    via = ptrace_rdm(reduce_pure(st, k), k_out).matrix
+    np.testing.assert_allclose(via, reduce_pure(st, k_out).matrix, atol=1e-13)

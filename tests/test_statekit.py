@@ -156,3 +156,14 @@ def test_fermistate_comments_and_errors():
         loads_state("fermistate 4 2\n0 1\n")
     with pytest.raises(ShapeError):
         loads_state("fermistate 4 2\n99 1 0\n")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_pure_state_rejects_non_finite(bad):
+    amps = np.zeros(RankedBasis(4, 2).dim, dtype=complex)
+    amps[0] = 1.0
+    amps[1] = bad
+    with pytest.raises(NormalizationError):
+        PureStateN(RankedBasis(4, 2), amps)
+    with pytest.raises(NormalizationError):
+        loads_state("fermistate 4 2\n0 1 0\n1 nan 0\n")
