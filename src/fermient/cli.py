@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .config import CAP, TOL, Tolerances, tolerances_dict
+from .config import TOL, Tolerances, tolerances_dict
 from .corpus import CorpusEntry, build_corpus
 from .entmeasures import (EfOptions, LN2, ef_optimize, elem_sym, elem_sym_det,
                           elem_sym_direct, extension_spec_from_tripartite,
@@ -34,7 +34,7 @@ from .entmeasures import (EfOptions, LN2, ef_optimize, elem_sym, elem_sym_det,
 from .errors import CapacityError, FermientError
 from .fockbasis import RankedBasis, binom
 from .hermlin import eig_herm, kron
-from .rdmcore import (PHYSICS, UNIT, ReducedDM, TensorDM, dumps_rdm,
+from .rdmcore import (PHYSICS, UNIT, TensorDM, dumps_rdm,
                       embed_wedge_to_tensor, load_rdm, ptrace_rdm,
                       random_two_party_dm, reduce_mixed, rescale)
 from .report import BoundReport, fmt17, json_value, report_json_line
@@ -569,6 +569,11 @@ def cmd_verify(args) -> int:
     else:
         results = [_task_runner(s) for s in specs]
     reports = [r for chunk in results for r in chunk]
+    if not reports:
+        picked = " ".join(f"--{name} {value}" for name, value
+                          in (("M", args.M), ("N", args.N)) if value is not None)
+        raise FermientError(f"verify {args.suite}: no state matches "
+                            f"{picked or 'the selection'}; nothing was checked")
     _emit_reports(reports, args, tol)
     return 0 if all(r.holds for r in reports) else 1
 

@@ -392,7 +392,10 @@ def loads_rdm(text: str) -> ReducedDM:
         raise ShapeError(f"expected {D} matrix rows, found {len(lines) - 1}")
     mat = np.zeros((D, D), dtype=complex)
     for i, ln in enumerate(lines[1:]):
-        vals = [float(x) for x in ln.split()]
+        try:
+            vals = [float(x) for x in ln.split()]
+        except ValueError as exc:
+            raise ShapeError(f"row {i} has a non-numeric entry: {ln!r}") from exc
         if len(vals) != 2 * D:
             raise ShapeError(f"row {i} has {len(vals)} numbers, expected {2 * D}")
         mat[i] = np.asarray(vals[0::2]) + 1j * np.asarray(vals[1::2])

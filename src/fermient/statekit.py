@@ -166,14 +166,22 @@ def loads_state(text: str) -> PureStateN:
     except ValueError as exc:
         raise ShapeError(f"malformed fermistate header: {lines[0]!r}") from exc
     amps = np.zeros(basis.dim, dtype=complex)
+    seen = set()
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3:
             raise ShapeError(f"malformed fermistate row: {ln!r}")
-        idx = int(parts[0])
+        try:
+            idx = int(parts[0])
+            value = float(parts[1]) + 1j * float(parts[2])
+        except ValueError as exc:
+            raise ShapeError(f"malformed fermistate row: {ln!r}") from exc
         if not 0 <= idx < basis.dim:
             raise ShapeError(f"amplitude index {idx} outside basis of dim {basis.dim}")
-        amps[idx] = float(parts[1]) + 1j * float(parts[2])
+        if idx in seen:
+            raise ShapeError(f"amplitude index {idx} appears twice")
+        seen.add(idx)
+        amps[idx] = value
     return PureStateN(basis, amps)
 
 

@@ -147,6 +147,23 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_empty_selection_is_usage_error(capsys):
+    assert cli.main(["verify", "mutual", "--M", "99", "--random", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--M 99" in captured.err
+
+
+def test_bad_fermistate_files_exit_2(tmp_path, capsys):
+    dup = tmp_path / "dup.fermistate"
+    dup.write_text("fermistate 4 2\n1 0.6 0\n1 0.8 0\n")
+    word = tmp_path / "word.fermistate"
+    word.write_text("fermistate 4 2\nx 1.0 0.0\n")
+    assert cli.main(["entropy", str(dup)]) == 2
+    assert cli.main(["entropy", str(word)]) == 2
+    capsys.readouterr()
+
+
 def test_capacity_exit_3(capsys):
     assert cli.main(["state", "random", "--M", "40", "--N", "20"]) == 3
     assert "capacity" in capsys.readouterr().err

@@ -316,6 +316,67 @@ def test_ef_chi_state_matches_closed_form():
                                           abs=1e-10)
 
 
+def _svd_contrib(row, d):
+    # weight * entropy of one unnormalized member, from its Schmidt values
+    s = np.linalg.svd(row.reshape(d, d), compute_uv=False)
+    p = s * s
+    lam = p.sum()
+    p = p[p > 1e-18]
+    return float(-(p * np.log(p)).sum() + lam * math.log(lam))
+
+
+def _kernel_pairs():
+    rng = np.random.default_rng(11)
+    for d in range(2, 7):
+        z = rng.standard_normal((2, d * d)) + 1j * rng.standard_normal((2, d * d))
+        yield d, z[0] / np.linalg.norm(z), z[1] / np.linalg.norm(z)
+        # Slater-like rows: rank-2 antisymmetric u v^T - v u^T
+        u, v, x = rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d))
+        wk = (np.outer(u, v) - np.outer(v, u)).ravel()
+        wl = (np.outer(u, x) - np.outer(x, u)).ravel()
+        scale = math.sqrt(2) * max(np.linalg.norm(wk), np.linalg.norm(wl))
+        yield d, wk / scale, wl / scale
+
+
+def test_pair_objective_matches_svd_of_rotated_rows():
+    from fermient.entmeasures import _pair_objective
+    thetas = np.array([0.0, 0.3, 1.1, 2.0, math.pi / 2])
+    phis = np.array([0.7, 0.0, 2.5, 4.0, 1.3])
+    for d, wk, wl in _kernel_pairs():
+        got = _pair_objective(wk, wl, thetas, phis, d, d)
+        for th, ph, val in zip(thetas, phis, got):
+            c = math.cos(th)
+            u_s = complex(math.cos(ph), math.sin(ph)) * math.sin(th)
+            top = c * wk + u_s * wl
+            bot = -np.conjugate(u_s) * wk + c * wl
+            want = _svd_contrib(top, d) + _svd_contrib(bot, d)
+            assert abs(val - want) <= 1e-12, (d, th)
+
+
+def test_pair_objective_has_period_half_pi_in_theta():
+    from fermient.entmeasures import _pair_objective
+    thetas = np.linspace(0.0, math.pi / 2, 9)
+    phis = np.linspace(0.1, 3.0, 9)
+    for d, wk, wl in _kernel_pairs():
+        a = _pair_objective(wk, wl, thetas, phis, d, d)
+        b = _pair_objective(wk, wl, thetas + math.pi / 2, phis, d, d)
+        assert np.abs(a - b).max() <= 1e-12, d
+
+
+def test_best_pair_rotation_reevaluates_below_coarse_grid():
+    from fermient.entmeasures import (_ANGLES, _PHASES, _best_pair_rotation,
+                                      _pair_objective)
+    tt, pp = np.meshgrid(_ANGLES, _PHASES, indexing="ij")
+    for d, wk, wl in _kernel_pairs():
+        coarse = _pair_objective(wk, wl, tt.ravel(), pp.ravel(), d, d).min()
+        # an unbeatable base skips refinement; an infinite one forces it
+        assert _best_pair_rotation(wk, wl, d, d, -math.inf)[2] == coarse
+        theta, phi, val = _best_pair_rotation(wk, wl, d, d, math.inf)
+        again = _pair_objective(wk, wl, np.array([theta]), np.array([phi]), d, d)
+        assert abs(again[0] - val) <= 1e-12
+        assert val <= coarse
+
+
 # ---------------------------------------------------------------------------
 # squashed-entanglement extensions
 

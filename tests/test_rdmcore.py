@@ -274,6 +274,14 @@ def test_fermirdm_malformed():
     assert np.array_equal(loads_rdm("# note\n" + good).matrix, r.matrix)
 
 
+def test_fermirdm_non_numeric_entry_is_shape_error():
+    good = dumps_rdm(reduce_pure(slater_state(RankedBasis(4, 2), (0, 1)), 1))
+    rows = good.splitlines()
+    rows[1] = " ".join(["x"] + rows[1].split()[1:])
+    with pytest.raises(ShapeError):
+        loads_rdm("\n".join(rows) + "\n")
+
+
 def test_gather_table_matches_scalar_reference():
     # every entry against the per-element rank/merge_sign definitions
     from fermient.rdmcore import _gather_table

@@ -158,6 +158,18 @@ def test_fermistate_comments_and_errors():
         loads_state("fermistate 4 2\n99 1 0\n")
 
 
+def test_fermistate_repeated_index_is_refused():
+    # a repeated row would otherwise overwrite the earlier amplitude
+    with pytest.raises(ShapeError, match="twice"):
+        loads_state("fermistate 4 2\n1 0.6 0\n1 0.8 0\n")
+
+
+@pytest.mark.parametrize("row", ["x 1.0 0.0", "0 abc 0", "0 1.0 i"])
+def test_fermistate_non_numeric_field_is_shape_error(row):
+    with pytest.raises(ShapeError):
+        loads_state(f"fermistate 4 2\n{row}\n")
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
 def test_pure_state_rejects_non_finite(bad):
     amps = np.zeros(RankedBasis(4, 2).dim, dtype=complex)
