@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .config import CAP, TOL, Capacities, Tolerances
 from .errors import (CapacityError, FermientError, InvalidModeSetError,
                      NonDisjointError, NormalizationError, NotPSDError,
-                     RangeError, ShapeError)
+                     NumericalError, RangeError, ShapeError)
 from .fockbasis import (RankedBasis, binom, enumerate_supersets, merge_sign,
                         modes_of, modeset, rank, unrank)
 from .hermlin import (Spectrum, as_hermitian, eig_herm, kron,

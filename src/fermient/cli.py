@@ -7,7 +7,9 @@ Output contract:
   * reports stream as JSON lines (--format json, default), CSV with
     `#`-prefixed metadata, or an aligned text table;
   * exit codes: 0 success / all bounds hold, 1 bound violation,
-    2 usage or configuration error, 3 capacity guard.
+    2 usage or configuration error, 3 capacity guard, 4 numerical failure
+    (a result failed its accuracy check) or any other crash, so that a crash
+    never reads as a violated bound.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .entmeasures import (EfOptions, LN2, ef_optimize, elem_sym, elem_sym_det,
                           slater_extension_spec, slater_squashed_bound,
                           squashed_extension_value, subadd_remainder,
                           vn_entropy, yang_analytics)
-from .errors import CapacityError, FermientError
+from .errors import CapacityError, FermientError, NumericalError
 from .fockbasis import RankedBasis, binom
 from .hermlin import eig_herm, kron
 from .rdmcore import (PHYSICS, UNIT, TensorDM, dumps_rdm,
@@ -764,12 +766,18 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"fermient: capacity: {exc}", file=sys.stderr)
         return 3
+    except NumericalError as exc:
+        print(f"fermient: numerical failure: {exc}", file=sys.stderr)
+        return 4
     except FermientError as exc:
         print(f"fermient: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"fermient: io error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"fermient: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

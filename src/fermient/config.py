@@ -17,14 +17,14 @@ class Tolerances:
     unit_trace: float = 1e-8
     trace_match: float = 1e-10
     marginal_match: float = 1e-8
-    # Jacobi eigensolver
-    jacobi_offdiag: float = 1e-14    # relative to ||A||_F
-    jacobi_max_sweeps: int = 100
-    eig_residual: float = 1e-9       # relative max |A u - lambda u|
+    # eigensolver
+    jacobi_max_sweeps: int = 100     # unread; kept only so --tol accepts it
+    eig_residual: float = 1e-9       # relative max |A u - lambda u|; also the
+                                     # eigenvalue degeneracy gap
     # spectral functions
     support_cutoff: float = 1e-12    # eigenvalues below this are treated as 0
     psd_fail: float = 1e-6           # negatives beyond this raise NotPSDError
-    sqrt_square: float = 1e-8
+    sqrt_square: float = 1e-8        # relative max |R R - A| past the clamp
     # bound evaluation
     bound_slack: float = 1e-9        # holds <=> slack >= -bound_slack
     ef_sweep_tol: float = 1e-10      # optimizer sweep improvement threshold

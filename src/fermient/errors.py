@@ -31,3 +31,7 @@ class NormalizationError(FermientError, ValueError):
 
 class CapacityError(FermientError, RuntimeError):
     """Requested object exceeds a hard capacity guard (never silently truncated)."""
+
+
+class NumericalError(FermientError, ArithmeticError):
+    """A computed result failed its accuracy check (eigen-residual, square root)."""

@@ -1,21 +1,22 @@
-"""Dense Hermitian linear algebra on a deterministic eigensolver.
+"""Dense Hermitian linear algebra on LAPACK, in a canonical form.
 
-The eigensolver is a cyclic Jacobi iteration with complex Givens rotations in
-fixed row-major sweep order. That makes every spectrum reproducible bit-for-bit
-for a fixed input matrix, which the report and acceptance paths rely on.
-Matrices are plain complex ndarrays; `Spectrum` carries eigenvalues sorted
-descending plus (optionally) the eigenvector columns.
+`eig_herm` takes spectra from LAPACK (`eigvalsh`, or `eigh` for vectors) and
+returns them in a form free of LAPACK's arbitrary choices: eigenvalues
+descending; in each cluster of eigenvalues within tol.eig_residual * ||A|| of
+its first, the basis that pivoted Gram-Schmidt builds from the columns of the
+cluster's projector V V^+; each vector's largest-modulus entry real positive.
+Eigenpairs (eig_residual) and square roots (sqrt_square) are checked, and a
+failed check raises NumericalError.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import CAP, TOL, Capacities, Tolerances
-from .errors import CapacityError, NotPSDError, ShapeError
+from .errors import CapacityError, NotPSDError, NumericalError, ShapeError
 
 
 @dataclass
@@ -41,60 +42,48 @@ def as_hermitian(a: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    total = float(np.linalg.norm(a)) ** 2
-    diag = float(np.linalg.norm(np.diagonal(a))) ** 2
-    return math.sqrt(max(total - diag, 0.0))
+def _cluster_basis(v: np.ndarray, rel: float) -> np.ndarray:
+    """Basis of span(v) fixed by its projector P = v v^+: pivoted Gram-Schmidt
+    over P's columns, run on the rows of v (column j of P is v conj(v[j]))."""
+    w = v.copy()
+    out = np.empty_like(v)
+    for s in range(v.shape[1]):
+        norms = np.einsum("ij,ij->i", w, w.conj()).real   # residual |P e_j|^2
+        p = int(np.argmax(norms >= norms.max() * (1.0 - rel)))   # ties: first
+        c = w[p].conj() / np.sqrt(norms[p])
+        out[:, s] = w @ c
+        w -= np.outer(out[:, s], c.conj())
+    return out
 
 
 def eig_herm(a: np.ndarray, vectors: bool = True, tol: Tolerances = TOL) -> Spectrum:
-    """Full eigensystem of a Hermitian matrix by cyclic complex Jacobi.
-
-    Row-major sweeps; converged when the off-diagonal Frobenius mass drops
-    below tol.jacobi_offdiag * ||A||_F; hard stop at tol.jacobi_max_sweeps.
-    """
+    """Eigenvalues (descending) and optionally canonical eigenvectors, checked
+    to max |A U - U diag(lam)| <= tol.eig_residual * max(||A||, 1)."""
     A = as_hermitian(a, tol)
-    n = A.shape[0]
-    U = np.eye(n, dtype=complex) if vectors else None
-    scale = float(np.linalg.norm(A))
-    if n > 1 and scale > 0.0:
-        target = tol.jacobi_offdiag * scale
-        skip = target / (2.0 * n)  # elements this small cannot break convergence
-        for _ in range(tol.jacobi_max_sweeps):
-            if _offdiag_norm(A) <= target:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = A[p, q]
-                    r = abs(apq)
-                    if r <= skip:
-                        continue
-                    phase = apq / r
-                    theta = 0.5 * math.atan2(2.0 * r, (A[p, p] - A[q, q]).real)
-                    c = math.cos(theta)
-                    s_hi = math.sin(theta) * phase          # sigma e^{+i phi}
-                    s_lo = s_hi.conjugate()                 # sigma e^{-i phi}
-                    rp = A[p, :].copy()
-                    rq = A[q, :].copy()
-                    A[p, :] = c * rp + s_hi * rq
-                    A[q, :] = -s_lo * rp + c * rq
-                    cp = A[:, p].copy()
-                    cq = A[:, q].copy()
-                    A[:, p] = c * cp + s_lo * cq
-                    A[:, q] = -s_hi * cp + c * cq
-                    A[p, q] = 0.0
-                    A[q, p] = 0.0
-                    if U is not None:
-                        up = U[:, p].copy()
-                        uq = U[:, q].copy()
-                        U[:, p] = c * up + s_lo * uq
-                        U[:, q] = -s_hi * up + c * uq
-    eigs = np.real(np.diagonal(A)).copy()
-    order = np.argsort(-eigs, kind="stable")
-    eigs = eigs[order]
-    if U is not None:
-        U = U[:, order]
-    return Spectrum(eigenvalues=eigs, vectors=U)
+    if not vectors:
+        return Spectrum(eigenvalues=np.linalg.eigvalsh(A)[::-1].copy())
+    lam, U = np.linalg.eigh(A)
+    lam, U = lam[::-1].copy(), U[:, ::-1].copy()
+    rel = tol.eig_residual
+    norm = float(np.abs(lam).max(initial=0.0))
+    vals = lam.tolist()
+    start = 0
+    for i in range(1, len(vals) + 1):
+        if i == len(vals) or vals[start] - vals[i] > rel * norm:
+            if i - start > 1:
+                U[:, start:i] = _cluster_basis(U[:, start:i], rel)
+            start = i
+    if U.size:   # phase: the first entry within rel of the largest modulus
+        cols = np.arange(U.shape[1])
+        mag = np.abs(U)
+        lead = np.argmax(mag >= mag.max(axis=0) * (1.0 - rel), axis=0)
+        U *= mag[lead, cols] / U[lead, cols]
+        U[lead, cols] = mag[lead, cols]
+    resid = float(np.abs(A @ U - U * lam).max(initial=0.0))
+    if not resid <= rel * max(norm, 1.0):
+        raise NumericalError(f"eigen-residual {resid:.3e} exceeds "
+                             f"{rel:g} * {max(norm, 1.0):.3e}")
+    return Spectrum(eigenvalues=lam, vectors=U)
 
 
 def _clamped_psd_eigs(eigs: np.ndarray, scale: float, tol: Tolerances) -> np.ndarray:
@@ -114,8 +103,18 @@ def sqrt_from_spectrum(spec: Spectrum, tol: Tolerances = TOL) -> np.ndarray:
 
 
 def sqrt_psd(a: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
-    """Hermitian square root; eigenvalues in [-psd_fail, 0) are clamped to 0."""
-    return sqrt_from_spectrum(eig_herm(a, vectors=True, tol=tol), tol)
+    """Hermitian square root; eigenvalues in [-psd_fail, 0) are clamped to 0.
+    Checked to max |R R - A| <= tol.sqrt_square * ||A|| + the clamped amount."""
+    A = as_hermitian(a, tol)
+    spec = eig_herm(A, vectors=True, tol=tol)
+    root = sqrt_from_spectrum(spec, tol)
+    lam = spec.eigenvalues
+    clamped = -float(lam.min(initial=0.0))
+    bound = tol.sqrt_square * float(np.abs(lam).max(initial=0.0)) + clamped
+    err = float(np.abs(root @ root - A).max(initial=0.0))
+    if not err <= bound:
+        raise NumericalError(f"square-root defect {err:.3e} exceeds {bound:.3e}")
+    return root
 
 
 def kron(a: np.ndarray, b: np.ndarray, cap: Capacities = CAP) -> np.ndarray:

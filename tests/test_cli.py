@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from fermient import cli, load_rdm, load_state, loads_state
+from fermient import cli, hermlin, load_rdm, load_state, loads_state
 from fermient.report import bound_report
 
 LN2 = math.log(2.0)
@@ -282,3 +282,29 @@ def test_verify_reports_identical_across_processes(tmp_path):
     # only the meta line (it embeds the jobs option) may differ
     assert first.splitlines()[1:] == jobs2.splitlines()[1:]
     assert len(first.splitlines()) > 100
+
+
+def test_crash_exits_4_with_one_line(capsys, monkeypatch):
+    def crash(**kwargs):
+        raise RuntimeError("planted crash")
+
+    monkeypatch.setitem(cli._SUITES, "mutual", crash)
+    assert cli.main(["verify", "mutual", "--M", "4", "--random", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "fermient: internal error: RuntimeError: planted crash"]
+
+
+def test_wrong_eigensolver_result_exits_4(capsys, monkeypatch):
+    real = hermlin.np.linalg.eigh
+
+    def wrong(a):
+        lam, vecs = real(a)
+        return lam, np.roll(vecs, 1, axis=1)
+
+    monkeypatch.setattr(hermlin.np.linalg, "eigh", wrong)
+    assert cli.main(["verify", "subadd", "--M", "4", "--random", "0"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("fermient: numerical failure: eigen-residual")
+    assert len(err.strip().splitlines()) == 1

@@ -47,7 +47,9 @@ from fermient import (
     yang_analytics,
     yang_state,
 )
+from fermient import entmeasures
 from fermient.rdmcore import PHYSICS, tensor_ptrace
+from fermient.report import report_json_line
 
 LN2 = math.log(2.0)
 
@@ -474,3 +476,33 @@ def test_min_s2_search_quick():
     assert np.linalg.norm(res.best_state.amplitudes) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(RangeError):
         min_s2_search(3, 1, opts)
+
+
+def test_nbody_elem_cross_check_skipped_past_capacity():
+    st = random_pure_state(RankedBasis(8, 4), seed=5)
+    terms = math.comb(8, 4)
+    at = nbody_elem_bound(st, cap=dataclasses.replace(CAP, elem_terms=terms))
+    past = nbody_elem_bound(st, cap=dataclasses.replace(CAP, elem_terms=terms - 1))
+    assert at.context["e_N_direct"] == pytest.approx(at.context["e_N"], abs=1e-14)
+    assert "cross_check" not in at.context
+    assert past.context["e_N_direct"] is None
+    assert past.context["cross_check"] == "skipped (capacity)"
+    assert (past.lhs, past.rhs, past.holds) == (at.lhs, at.rhs, at.holds)
+    assert '"e_N_direct": null' in report_json_line(past)
+
+
+def test_ef_never_rescans_a_pair_with_unchanged_rows(monkeypatch):
+    t = _pair_tensor(random_pure_state(RankedBasis(6, 4), seed=3))
+    real = entmeasures._best_pair_rotation
+    seen = set()
+
+    def spy(wk, wl, *rest):
+        key = (wk.tobytes(), wl.tobytes())
+        assert key not in seen
+        seen.add(key)
+        return real(wk, wl, *rest)
+
+    monkeypatch.setattr(entmeasures, "_best_pair_rotation", spy)
+    res = ef_optimize(t, EfOptions(ensemble_size="rank", restarts=1, max_iters=4))
+    L = res.decomposition.weights.size
+    assert 0 < len(seen) < res.sweeps * L * (L - 1) // 2

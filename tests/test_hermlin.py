@@ -8,6 +8,7 @@ from fermient import (
     TOL,
     CapacityError,
     NotPSDError,
+    NumericalError,
     ShapeError,
     as_hermitian,
     eig_herm,
@@ -16,6 +17,7 @@ from fermient import (
     sqrt_psd,
     trace_product,
 )
+from fermient import hermlin
 
 
 def _random_hermitian(n, seed, psd=False):
@@ -136,3 +138,101 @@ def test_as_hermitian_rejects_non_finite(bad):
         as_hermitian(a)
     with pytest.raises(ShapeError):
         eig_herm(a)
+
+
+def _with_spectrum(lam, seed):
+    rng = np.random.default_rng(seed)
+    n = len(lam)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return (q * np.asarray(lam, dtype=float)) @ q.conj().T
+
+
+def _mixing_eigh(monkeypatch, seed):
+    """Make np.linalg.eigh return a random unitary mix of its own basis
+    inside every block of equal (to 1e-9) eigenvalues."""
+    real = np.linalg.eigh
+    rng = np.random.default_rng(seed)
+
+    def mixed(m):
+        w, v = real(m)
+        v = v.copy()
+        start = 0
+        for i in range(1, len(w) + 1):
+            if i == len(w) or w[i] - w[start] > 1e-9:
+                k = i - start
+                if k > 1:
+                    z = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+                    v[:, start:i] = v[:, start:i] @ np.linalg.qr(z)[0]
+                start = i
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", mixed)
+
+
+_DEGENERATE = ([3.0, 1.0, 1.0, 1.0, 0.5, -2.0], [2.0, 2.0, 0.0, 0.0, 0.0, -1.0, -1.0],
+               [0.25, 0.25, 0.25, 0.25], [0.4, 0.2, 0.2, 0.1, 0.1, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("lam", _DEGENERATE)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_eig_vectors_ignore_lapack_basis_in_degenerate_blocks(monkeypatch, lam, seed):
+    a = _with_spectrum(lam, seed=seed)
+    want = eig_herm(a)
+    _mixing_eigh(monkeypatch, seed=10 + seed)
+    got = eig_herm(a)
+    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+    assert np.abs(got.vectors - want.vectors).max() <= 1e-12
+
+
+def test_eig_degenerate_unit_vectors_pick_the_first_tied_pivot(monkeypatch):
+    # every column of the projector onto span(e0, e2, e3) ties; the canonical
+    # basis is e0, e2, e3 in index order, whatever basis LAPACK returns
+    a = np.diag([1.0, 2.0, 1.0, 1.0])
+    _mixing_eigh(monkeypatch, seed=3)
+    u = eig_herm(a).vectors
+    np.testing.assert_allclose(u, np.eye(4)[:, [1, 0, 2, 3]], atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_eig_vectors_largest_entry_is_real_positive(seed):
+    for a in (_random_hermitian(9, seed=seed), _with_spectrum(_DEGENERATE[seed], seed)):
+        u = eig_herm(a).vectors
+        lead = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+        assert np.all(lead.imag == 0.0) and np.all(lead.real > 0.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_eig_values_agree_with_and_without_vectors(seed):
+    for a in (_random_hermitian(12, seed=seed), _with_spectrum(_DEGENERATE[seed], seed)):
+        with_vecs = eig_herm(a).eigenvalues
+        values_only = eig_herm(a, vectors=False).eigenvalues
+        assert np.abs(with_vecs - values_only).max() <= 1e-12
+
+
+def test_eig_residual_check_raises(monkeypatch):
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda m: (real(m)[0], np.eye(len(m), dtype=complex)))
+    with pytest.raises(NumericalError):
+        eig_herm(_random_hermitian(5, seed=2))
+
+
+def test_sqrt_psd_square_check_raises(monkeypatch):
+    real = hermlin.sqrt_from_spectrum
+    monkeypatch.setattr(hermlin, "sqrt_from_spectrum",
+                        lambda spec, tol: 1.001 * real(spec, tol))
+    with pytest.raises(NumericalError):
+        sqrt_psd(_random_hermitian(4, seed=8, psd=True))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_eig_phase_ties_resolve_to_the_first_entry(seed):
+    # entries 0 and 1 of the top eigenvector tie in modulus, as in every
+    # antisymmetric two-particle vector; the first one is made real positive
+    v = np.array([1.0, -1.0, 0.5j, 0.0, 0.0, 0.0]) / 1.5
+    rng = np.random.default_rng(seed)
+    off = np.eye(6) - np.outer(v, v.conj())
+    a = 3.0 * np.outer(v, v.conj()) + 0.1 * off @ _random_hermitian(6, seed=seed) @ off
+    u = eig_herm(a * rng.uniform(0.5, 2.0)).vectors[:, 0]
+    assert u[0].imag == 0.0 and u[0].real > 0.0
+    np.testing.assert_allclose(u, v, atol=1e-12)
