@@ -3,7 +3,8 @@
 Layered as: fockbasis (combinatorics) -> hermlin (dense Hermitian linear
 algebra) -> statekit (state constructors, file format) -> rdmcore (reductions
 and tensor embeddings) -> entmeasures (entropies and bound evaluators) ->
-cli (harness). Everything numeric is deterministic for fixed seeds.
+suites (the bound suites of `fermient verify`) -> cli (harness). Everything
+numeric is deterministic for fixed seeds.
 """
 
 __version__ = "0.1.0"

@@ -1,4 +1,5 @@
-"""Command-line harness: state construction, reduction, bound suites, sweeps.
+"""Command-line harness: state construction, reduction, sweeps, and `verify`,
+which runs the bound suites of `suites` listed in _SUITES.
 
 Output contract:
   * every run embeds its resolved configuration (and tolerance set) in the
@@ -7,9 +8,10 @@ Output contract:
   * reports stream as JSON lines (--format json, default), CSV with
     `#`-prefixed metadata, or an aligned text table;
   * exit codes: 0 success / all bounds hold, 1 bound violation,
-    2 usage or configuration error, 3 capacity guard, 4 numerical failure
-    (a result failed its accuracy check) or any other crash, so that a crash
-    never reads as a violated bound.
+    2 usage or configuration error (malformed ranges or mode lists,
+    negative tolerances, fewer than one E_f restart), 3 capacity guard,
+    4 numerical failure (a result failed its accuracy check) or any other
+    crash, so that a crash never reads as a violated bound.
 """
 
 from __future__ import annotations
@@ -24,21 +26,15 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__
+from . import __version__, suites
 from .config import TOL, Tolerances, tolerances_dict
-from .corpus import CorpusEntry, build_corpus
-from .entmeasures import (EfOptions, LN2, ef_optimize, elem_sym, elem_sym_det,
-                          elem_sym_direct, extension_spec_from_tripartite,
-                          mutual_info_bounds, nbody_elem_bound,
-                          slater_extension_spec, slater_squashed_bound,
-                          squashed_extension_value, subadd_remainder,
+from .entmeasures import (EfOptions, LN2, ef_optimize, mutual_info_bounds,
                           vn_entropy, yang_analytics)
 from .errors import CapacityError, FermientError, NumericalError
 from .fockbasis import RankedBasis, binom
-from .hermlin import eig_herm, kron
-from .rdmcore import (PHYSICS, UNIT, TensorDM, dumps_rdm,
-                      embed_wedge_to_tensor, load_rdm, ptrace_rdm,
-                      random_two_party_dm, reduce_mixed, rescale)
+from .hermlin import eig_herm
+from .rdmcore import (PHYSICS, UNIT, dumps_rdm, embed_wedge_to_tensor, load_rdm,
+                      ptrace_rdm, reduce_mixed, rescale)
 from .report import BoundReport, fmt17, json_value, report_json_line
 from .statekit import (PureStateN, YangParams, chi_pair_vector,
                        convex_mixture, dumps_state, load_state,
@@ -52,17 +48,21 @@ _TEXT_NUM = ".12g"
 
 def _parse_range(text: str) -> list[int]:
     """'3' -> [3]; '2..5' -> [2, 3, 4, 5]."""
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        if hi < lo:
-            raise argparse.ArgumentTypeError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    lo_s, dots, hi_s = text.partition("..")
+    try:
+        lo, hi = int(lo_s), int(hi_s if dots else lo_s)
+    except ValueError:
+        raise FermientError(f"expected N or LO..HI, got {text!r}") from None
+    if hi < lo:
+        raise FermientError(f"empty range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _parse_occ(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x != ""]
+    try:
+        return [int(x) for x in text.split(",") if x != ""]
+    except ValueError:
+        raise FermientError(f"--occ expects comma-separated modes, got {text!r}") from None
 
 
 def _resolve_tol(pairs: list[str] | None) -> Tolerances:
@@ -83,6 +83,8 @@ def _resolve_tol(pairs: list[str] | None) -> Tolerances:
                 f"--tol {key} needs a {kinds[key].__name__}, got {val!r}") from None
         if not math.isfinite(value):
             raise FermientError(f"--tol {key} must be finite, got {val!r}")
+        if value < 0:
+            raise FermientError(f"--tol {key} must not be negative, got {val!r}")
         overrides[key] = value
     return dataclasses.replace(TOL, **overrides)
 
@@ -107,75 +109,63 @@ def _meta_obj(args, tol: Tolerances) -> dict:
     return meta
 
 
-class _Sink:
-    """Buffers output lines and flushes to --out or stdout at the end."""
+def _header(meta: dict) -> list[str]:
+    """`# fermient <version>`, then `# key: <json>` for the rest of meta."""
+    return [f"# fermient {meta['version']}"] + [
+        f"# {k}: {json_value(v)}" for k, v in meta.items() if k not in ("tool", "version")]
 
-    def __init__(self, out_path: str | None):
-        self.out_path = out_path
-        self.lines: list[str] = []
 
-    def line(self, text: str) -> None:
-        self.lines.append(text)
+def _write(text: str, out_path: str | None) -> None:
+    if out_path:
+        with open(out_path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
-    def flush(self) -> None:
-        body = "\n".join(self.lines) + ("\n" if self.lines else "")
-        if self.out_path:
-            with open(self.out_path, "w", encoding="ascii") as fh:
-                fh.write(body)
-        else:
-            sys.stdout.write(body)
+
+def _csv_lines(rows) -> list[str]:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().splitlines()
 
 
 def _emit_reports(reports: list[BoundReport], args, tol: Tolerances) -> None:
-    sink = _Sink(args.out)
     meta = _meta_obj(args, tol)
     if args.format == "json":
-        sink.line(json_value({"meta": meta}))
-        for r in reports:
-            sink.line(report_json_line(r))
+        lines = [json_value({"meta": meta})] + [report_json_line(r) for r in reports]
     elif args.format == "csv":
-        for k, v in meta.items():
-            if k == "tool":
-                sink.line(f"# fermient {meta['version']}")
-            elif k != "version":
-                sink.line(f"# {k}: {json_value(v)}")
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["name", "lhs", "rhs", "slack", "holds", "context"])
-        for r in reports:
-            w.writerow([r.name, fmt17(r.lhs), fmt17(r.rhs), fmt17(r.slack),
-                        str(r.holds).lower(), json_value(r.context)])
-        sink.lines.extend(buf.getvalue().splitlines())
+        lines = _header(meta) + _csv_lines(
+            [["name", "lhs", "rhs", "slack", "holds", "context"]]
+            + [[r.name, fmt17(r.lhs), fmt17(r.rhs), fmt17(r.slack),
+                str(r.holds).lower(), json_value(r.context)] for r in reports])
     else:
-        sink.line(f"# fermient {meta['version']}")
+        lines = _header(meta)[:1]   # text tables carry only the version line
         width = max((len(r.name) for r in reports), default=4)
         for r in reports:
             state = "HOLDS" if r.holds else "VIOLATED"
-            sink.line(f"{r.name:<{width}}  lhs={r.lhs:{_TEXT_NUM}}  "
-                      f"rhs={r.rhs:{_TEXT_NUM}}  slack={r.slack:{_TEXT_NUM}}  {state}")
-    sink.flush()
+            lines.append(f"{r.name:<{width}}  lhs={r.lhs:{_TEXT_NUM}}  "
+                         f"rhs={r.rhs:{_TEXT_NUM}}  slack={r.slack:{_TEXT_NUM}}  {state}")
+    _write("\n".join(lines) + "\n", args.out)
 
 
 def _emit_table(columns: list[str], rows: list[list], args, tol: Tolerances) -> None:
-    sink = _Sink(args.out)
     meta = _meta_obj(args, tol)
     if args.format == "json":
-        sink.line(json_value({"meta": meta}))
-        for row in rows:
-            sink.line(json_value(dict(zip(columns, row))))
+        lines = [json_value({"meta": meta})] + [
+            json_value(dict(zip(columns, row))) for row in rows]
     else:
-        sink.line(f"# fermient {meta['version']}")
-        for k, v in meta.items():
-            if k not in ("tool", "version"):
-                sink.line(f"# {k}: {json_value(v)}")
-        sink.line("# columns: " + ",".join(columns))
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(columns)
-        for row in rows:
-            w.writerow([fmt17(v) if isinstance(v, float) else v for v in row])
-        sink.lines.extend(buf.getvalue().splitlines())
-    sink.flush()
+        lines = _header(meta) + ["# columns: " + ",".join(columns)] + _csv_lines(
+            [columns] + [[fmt17(v) if isinstance(v, float) else v for v in row]
+                         for row in rows])
+    _write("\n".join(lines) + "\n", args.out)
+
+
+def _emit_file(body: str, summary: str, args, tol: Tolerances) -> None:
+    """A state or RDM file under the meta header goes to --out, its one-line
+    summary to stdout; without --out the file goes to stdout, the summary to
+    stderr."""
+    _write("\n".join(_header(_meta_obj(args, tol))) + "\n" + body, args.out)
+    print(summary, file=sys.stdout if args.out else sys.stderr)
 
 
 def _sniff_load(path: str):
@@ -192,16 +182,6 @@ def _sniff_load(path: str):
     if head == "fermirdm":
         return load_rdm(path)
     raise FermientError(f"{path}: unknown header {head!r}")
-
-
-def _file_body_with_meta(body: str, args, tol: Tolerances) -> str:
-    meta = _meta_obj(args, tol)
-    head = [f"# fermient {meta['version']}",
-            f"# config: {json_value(meta['config'])}",
-            f"# tolerances: {json_value(meta['tolerances'])}"]
-    if "generated" in meta:
-        head.append(f"# generated: {meta['generated']}")
-    return "\n".join(head) + "\n" + body
 
 
 # ---------------------------------------------------------------------------
@@ -226,17 +206,10 @@ def cmd_state(args) -> int:
         if args.M is None or args.N is None:
             raise FermientError("state random needs --M and --N")
         st = random_pure_state(RankedBasis(args.M, args.N), seed=args.seed)
-    body = _file_body_with_meta(dumps_state(st), args, tol)
     support = int(np.count_nonzero(st.amplitudes))
-    summary = (f"fermistate M={st.basis.n_modes} N={st.basis.n_particles} "
-               f"dim={st.basis.dim} support={support}")
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(body)
-        print(summary)
-    else:
-        sys.stdout.write(body)
-        print(summary, file=sys.stderr)
+    _emit_file(dumps_state(st),
+               f"fermistate M={st.basis.n_modes} N={st.basis.n_particles} "
+               f"dim={st.basis.dim} support={support}", args, tol)
     return 0
 
 
@@ -255,20 +228,13 @@ def cmd_rdm(args) -> int:
     entropy = vn_entropy(unit_spec, tol)
     if args.norm == PHYSICS:
         r = rescale(r, PHYSICS, tol)
-    body = _file_body_with_meta(dumps_rdm(r), args, tol)
     tr = float(np.trace(r.matrix).real)
-    top = sorted((float(x) for x in eig_herm(r.matrix, vectors=False, tol=tol)
-                  .eigenvalues), reverse=True)[:5]
-    summary = (f"fermirdm M={r.basis.n_modes} k={r.k} norm={r.normalization} "
+    top = eig_herm(r.matrix, vectors=False, tol=tol).eigenvalues[:5].tolist()
+    _emit_file(dumps_rdm(r),
+               f"fermirdm M={r.basis.n_modes} k={r.k} norm={r.normalization} "
                f"trace={tr:{_TEXT_NUM}} entropy={entropy:{_TEXT_NUM}} "
-               "top_eigenvalues=" + ",".join(format(x, _TEXT_NUM) for x in top))
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(body)
-        print(summary)
-    else:
-        sys.stdout.write(body)
-        print(summary, file=sys.stderr)
+               "top_eigenvalues=" + ",".join(format(x, _TEXT_NUM) for x in top),
+               args, tol)
     return 0
 
 
@@ -320,248 +286,40 @@ def cmd_yang(args) -> int:
         "unit": "bits" if args.bits else "nats",
     }
     if args.numeric:
-        st = yang_state(YangParams(args.m, args.n))
-        r2 = reduce_mixed(st, 2)
-        lam = np.sort(eig_herm(r2.matrix, vectors=False, tol=tol).eigenvalues)[::-1]
-        ana_full = ana.spectrum(dim=lam.size)
-        row["spectrum_max_diff"] = float(np.max(np.abs(lam - ana_full)))
+        r2, _, row["spectrum_max_diff"] = suites.yang_spectrum(
+            ana, yang_state(YangParams(args.m, args.n)), tol)
         row["entropy_numeric"] = vn_entropy(r2, tol) / scale
     _emit_table(list(row.keys()), [list(row.values())], args, tol)
     return 0
 
 
 # ---------------------------------------------------------------------------
-# verify suites
-
-_CORPUS_CACHE: dict[tuple[int, int], list[CorpusEntry]] = {}
-
-
-def _corpus(seed: int, n_random: int) -> list[CorpusEntry]:
-    key = (seed, n_random)
-    if key not in _CORPUS_CACHE:
-        _CORPUS_CACHE[key] = build_corpus(seed=seed, n_random=n_random)
-    return _CORPUS_CACHE[key]
-
-
-def _filtered_entries(seed: int, n_random: int, m_filter: int | None,
-                      n_filter: int | None, states: list[str]) -> list[CorpusEntry]:
-    entries = list(_corpus(seed, n_random))
-    for i, path in enumerate(states):
-        st = load_state(path)
-        entries.append(CorpusEntry(f"user-{i}-{path}", "user", st,
-                                   {"M": st.basis.n_modes, "N": st.basis.n_particles}))
-    if m_filter is not None:
-        entries = [e for e in entries if e.meta.get("M") == m_filter]
-    if n_filter is not None:
-        entries = [e for e in entries if e.meta.get("N") == n_filter]
-    return entries
-
-
-def _suite_mutual(seed: int, n_random: int, m_filter, n_filter, states,
-                  tol_pairs) -> list[BoundReport]:
-    tol = _resolve_tol(tol_pairs)
-    out = []
-    for e in _filtered_entries(seed, n_random, m_filter, n_filter, states):
-        if e.basis.n_particles < 2:
-            continue
-        for rep in mutual_info_bounds(e.state, tol):
-            rep.context["state"] = e.name
-            out.append(rep)
-    return out
-
-
-def _suite_subadd(seed: int, n_random: int, m_filter, n_filter, states,
-                  tol_pairs) -> list[BoundReport]:
-    tol = _resolve_tol(tol_pairs)
-    out = []
-    for e in _filtered_entries(seed, n_random, m_filter, n_filter, states):
-        t = embed_wedge_to_tensor(e.rdm(2))
-        rep = subadd_remainder(t, tol=tol)
-        rep.context["state"] = e.name
-        out.append(rep)
-    # seeded random bipartite density matrices, local dims 2..4
-    for i in range(n_random):
-        d = 2 + (i % 3)
-        rank = 1 + (i % (d * d))
-        t = random_two_party_dm(d, rank, seed=seed * 1_000_000 + i)
-        rep = subadd_remainder(t, tol=tol)
-        rep.context["case"] = f"random-d{d}-r{rank}-{i}"
-        out.append(rep)
-    # product states: the equality case
-    for d in (2, 3, 4):
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(seed, spawn_key=(7, d))))
-        g1 = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        g2 = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        r1 = g1 @ g1.conj().T
-        r1 /= np.trace(r1).real
-        r2 = g2 @ g2.conj().T
-        r2 /= np.trace(r2).real
-        t = TensorDM(parties=2, local_dim=d, matrix=kron(r1, r2),
-                     source=f"product-d{d}")
-        rep = subadd_remainder(t, tol=tol)
-        rep.context["case"] = f"product-d{d}"
-        rep.context["equality"] = bool(abs(rep.slack) <= 1e-10)
-        out.append(rep)
-    return out
-
-
-def _suite_elem(seed: int, n_random: int, m_filter, n_filter, states,
-                tol_pairs) -> list[BoundReport]:
-    tol = _resolve_tol(tol_pairs)
-    out = []
-    for e in _filtered_entries(seed, n_random, m_filter, n_filter, states):
-        rep = nbody_elem_bound(e.state, tol)
-        rep.context["state"] = e.name
-        out.append(rep)
-    # route agreement on random spectra
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(seed, spawn_key=(11,))))
-    for i in range(50):
-        dim = int(rng.integers(3, 13))
-        n = int(rng.integers(2, dim + 1))
-        lam = rng.random(dim)
-        lam /= lam.sum()
-        psums = [float(np.sum(lam ** j)) for j in range(2, n + 1)]
-        e_rec = elem_sym(n, psums)
-        e_det = elem_sym_det(n, psums)
-        e_dir = elem_sym_direct(lam, n)
-        worst = max(abs(e_rec - e_det), abs(e_rec - e_dir))
-        rep = BoundReport(name="elem/routes", lhs=worst, rhs=1e-12,
-                          slack=1e-12 - worst, holds=bool(worst <= 1e-12),
-                          context={"dim": dim, "n": n, "case": i})
-        out.append(rep)
-    return out
-
-
-def _suite_ef(seed: int, n_random: int, m_filter, n_filter, states,
-              tol_pairs, restarts: int, max_iters: int,
-              ensemble: str) -> list[BoundReport]:
-    tol = _resolve_tol(tol_pairs)
-    out = []
-    opts = EfOptions(ensemble_size=ensemble, restarts=restarts,
-                     seed=seed, max_iters=max_iters)
-    for e in _filtered_entries(seed, n_random, m_filter, n_filter, states):
-        t = embed_wedge_to_tensor(e.rdm(2))
-        res = ef_optimize(t, opts, tol)
-        rep = BoundReport(name="ef/floor", lhs=res.value, rhs=LN2,
-                          slack=res.value - LN2,
-                          holds=bool(res.value >= LN2 - 1e-4),
-                          context={"state": e.name,
-                                   "converged": res.converged,
-                                   "restart": res.restart})
-        out.append(rep)
-    return out
-
-
-def _suite_squash(seed: int, n_random: int, m_filter, n_filter, states,
-                  tol_pairs) -> list[BoundReport]:
-    tol = _resolve_tol(tol_pairs)
-    out = []
-    for N in (3, 4, 5, 6):
-        closed = slater_squashed_bound(N)
-        if N % 2 == 1:
-            k = (N + 1) // 2
-            ext = slater_extension_spec(N, k, tol=tol)
-            val = squashed_extension_value(ext)
-            diff = abs(val - closed)
-            out.append(BoundReport(
-                name="squash/odd-equality", lhs=diff, rhs=1e-10,
-                slack=1e-10 - diff, holds=bool(diff <= 1e-10),
-                context={"N": N, "k": k, "extension_value": val,
-                         "closed_form": closed}))
-        else:
-            k = N // 2 + 1
-            ext = slater_extension_spec(N, k, tol=tol)
-            val = squashed_extension_value(ext)
-            out.append(BoundReport(
-                name="squash/upper-candidate", lhs=val, rhs=closed,
-                slack=closed - val, holds=bool(val <= closed + tol.bound_slack),
-                context={"N": N, "k": k, "closed_form": closed}))
-    # nonnegativity on genuine tripartite states
-    for i in range(max(4, min(n_random, 12))):
-        d = 2 + (i % 2)
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(seed, spawn_key=(13, i))))
-        q = 1 + (i % 3)
-        g = rng.standard_normal((d ** 3, q)) + 1j * rng.standard_normal((d ** 3, q))
-        rho = g @ g.conj().T
-        rho /= np.trace(rho).real
-        t = TensorDM(parties=3, local_dim=d, matrix=rho, source=f"tri-{i}")
-        val = squashed_extension_value(extension_spec_from_tripartite(t, tol))
-        out.append(BoundReport(
-            name="squash/nonneg", lhs=val, rhs=0.0, slack=val,
-            holds=bool(val >= -1e-9), context={"case": i, "d": d, "rank": q}))
-    return out
-
-
-def _suite_yang(seed: int, n_random: int, m_filter, n_filter, states,
-                tol_pairs) -> list[BoundReport]:
-    tol = _resolve_tol(tol_pairs)
-    out = []
-    for m in range(2, 6):
-        for n in range(1, m + 1):
-            ana = yang_analytics(YangParams(m, n))
-            st = yang_state(YangParams(m, n))
-            r2 = reduce_mixed(st, 2)
-            lam = np.sort(eig_herm(r2.matrix, vectors=False, tol=tol)
-                          .eigenvalues)[::-1]
-            diff = float(np.max(np.abs(lam - ana.spectrum(dim=lam.size))))
-            out.append(BoundReport(
-                name="yang/spectrum-match", lhs=diff, rhs=1e-10,
-                slack=1e-10 - diff, holds=bool(diff <= 1e-10),
-                context={"m": m, "n": n}))
-            ent_diff = abs(vn_entropy(r2, tol) - ana.entropy)
-            out.append(BoundReport(
-                name="yang/entropy-match", lhs=ent_diff, rhs=1e-10,
-                slack=1e-10 - ent_diff, holds=bool(ent_diff <= 1e-10),
-                context={"m": m, "n": n}))
-            N = 2 * n
-            r1 = reduce_mixed(st, 1)
-            top1 = float(np.max(eig_herm(r1.matrix, vectors=False, tol=tol)
-                                .eigenvalues))
-            out.append(BoundReport(
-                name="yang/occupation-bound", lhs=1.0 / N, rhs=top1,
-                slack=1.0 / N - top1, holds=bool(top1 <= 1.0 / N + 1e-9),
-                context={"m": m, "n": n, "N": N}))
-            top2 = float(lam[0])
-            rep = BoundReport(
-                name="yang/pair-eigenvalue-bound", lhs=2.0 / (N - 1) if N > 1
-                else math.inf, rhs=top2,
-                slack=(2.0 / (N - 1) - top2) if N > 1 else math.inf,
-                holds=bool(N <= 1 or top2 <= 2.0 / (N - 1) + 1e-9),
-                context={"m": m, "n": n, "N": N})
-            out.append(rep)
-    return out
-
+# verify
 
 _SUITES = {
-    "mutual": _suite_mutual,
-    "subadd": _suite_subadd,
-    "elem": _suite_elem,
-    "ef": _suite_ef,
-    "squash": _suite_squash,
-    "yang": _suite_yang,
+    "mutual": suites.mutual,
+    "subadd": suites.subadd,
+    "elem": suites.elem,
+    "ef": suites.ef,
+    "squash": suites.squash,
+    "yang": suites.yang,
 }
 
 
 def _task_runner(spec):
-    name, kwargs = spec
-    return _SUITES[name](**kwargs)
+    name, run = spec
+    return _SUITES[name](run=run)
 
 
 def cmd_verify(args) -> int:
     tol = _resolve_tol(args.tol)
-    suites = list(_SUITES) if args.suite == "all" else [args.suite]
-    base = dict(seed=args.seed, n_random=args.random, m_filter=args.M,
-                n_filter=args.N, states=args.states or [], tol_pairs=args.tol)
-    specs = []
-    for s in suites:
-        kwargs = dict(base)
-        if s == "ef":
-            kwargs.update(restarts=args.restarts, max_iters=args.max_iters,
-                          ensemble=args.ensemble)
-        specs.append((s, kwargs))
+    run = suites.SuiteRun(
+        seed=args.seed, n_random=args.random, M=args.M, N=args.N,
+        states=tuple(args.states or ()), tol=tol,
+        ef=EfOptions(ensemble_size=args.ensemble, restarts=args.restarts,
+                     seed=args.seed, max_iters=args.max_iters))
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
+    specs = [(name, run) for name in names]
     if args.jobs > 1:
         # imported here: the process pool's modules add ~2 MB to the resident
         # size of every serial run
@@ -599,13 +357,9 @@ def _sweep_yang_spectrum(args, tol) -> tuple[list[str], list[list]]:
     for m in _parse_range(getattr(args, "m", None) or "2..5"):
         for n in range(1, m + 1):
             ana = yang_analytics(YangParams(m, n))
-            st = yang_state(YangParams(m, n))
-            lam = np.sort(eig_herm(reduce_mixed(st, 2).matrix, vectors=False,
-                                   tol=tol).eigenvalues)[::-1]
-            full = ana.spectrum(dim=lam.size)
+            _, lam, diff = suites.yang_spectrum(ana, yang_state(YangParams(m, n)), tol)
             lam2_num = float(lam[1]) if lam.size > 1 else 0.0
-            rows.append([m, n, ana.lam1, float(lam[0]), ana.lam2, lam2_num,
-                         float(np.max(np.abs(lam - full)))])
+            rows.append([m, n, ana.lam1, float(lam[0]), ana.lam2, lam2_num, diff])
     return ["m", "n", "lam1_analytic", "lam1_numeric", "lam2_analytic",
             "lam2_numeric", "max_spectrum_diff"], rows
 
@@ -724,8 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     py.set_defaults(func=cmd_yang)
 
     pv = sub.add_parser("verify", help="run bound suites, one JSON line per report")
-    pv.add_argument("suite", choices=("mutual", "subadd", "elem", "ef",
-                                      "squash", "yang", "all"))
+    pv.add_argument("suite", choices=(*_SUITES, "all"))
     pv.add_argument("--M", type=int, default=None, help="filter corpus by modes")
     pv.add_argument("--N", type=int, default=None, help="filter corpus by particles")
     pv.add_argument("--random", type=int, default=50,

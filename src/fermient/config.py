@@ -48,7 +48,3 @@ CAP = Capacities()
 def tolerances_dict(tol: Tolerances = TOL) -> dict:
     """Serializable copy of the tolerance record (for report metadata)."""
     return dataclasses.asdict(tol)
-
-
-def capacities_dict(cap: Capacities = CAP) -> dict:
-    return dataclasses.asdict(cap)

@@ -450,6 +450,8 @@ def ef_optimize(t: TensorDM, opts: EfOptions | None = None,
     attaining the best value.
     """
     opts = opts or EfOptions()
+    if opts.restarts < 1:
+        raise ShapeError(f"ef_optimize needs restarts >= 1, got {opts.restarts}")
     if t.parties != 2:
         raise ShapeError("ef_optimize needs a two-party density matrix")
     d = t.local_dim

@@ -14,7 +14,7 @@ from .config import TOL, Tolerances
 
 @dataclass
 class BoundReport:
-    """One evaluated inequality: holds <=> slack >= -tolerance."""
+    """One evaluated inequality: holds <=> slack >= -grace."""
 
     name: str
     lhs: float
@@ -25,9 +25,13 @@ class BoundReport:
 
 
 def bound_report(name: str, lhs: float, rhs: float, direction: str = ">=",
-                 tol: Tolerances = TOL, **context) -> BoundReport:
+                 tol: Tolerances = TOL, grace: float | None = None,
+                 **context) -> BoundReport:
     """Build a report for `lhs direction rhs`; slack is oriented so that
-    slack >= 0 means the inequality holds with margin."""
+    slack >= 0 means the inequality holds with margin, and the report holds
+    when slack >= -grace (default tol.bound_slack)."""
+    if grace is None:
+        grace = tol.bound_slack
     if direction == ">=":
         slack = lhs - rhs
     elif direction == "<=":
@@ -35,7 +39,7 @@ def bound_report(name: str, lhs: float, rhs: float, direction: str = ">=",
     else:
         raise ValueError(f"direction must be '>=' or '<=', got {direction!r}")
     return BoundReport(name=name, lhs=float(lhs), rhs=float(rhs),
-                       slack=float(slack), holds=bool(slack >= -tol.bound_slack),
+                       slack=float(slack), holds=bool(slack >= -grace),
                        context=dict(context))
 
 

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import CAP, TOL, Capacities, Tolerances
+from .config import CAP, Capacities
 from .errors import (CapacityError, InvalidModeSetError, NormalizationError,
                      ShapeError)
 from .fockbasis import RankedBasis, binom, modeset, rank
@@ -112,8 +112,7 @@ def random_pure_state(basis: RankedBasis, seed: int, cap: Capacities = CAP) -> P
     return PureStateN(basis, amps)
 
 
-def convex_mixture(weights: Sequence[float], states: Sequence[PureStateN],
-                   tol: Tolerances = TOL) -> MixedStateN:
+def convex_mixture(weights: Sequence[float], states: Sequence[PureStateN]) -> MixedStateN:
     """Mixture of pure states; weights must be positive and sum to 1 within 1e-9."""
     if len(weights) != len(states) or not states:
         raise ShapeError("need equally many (>=1) weights and states")

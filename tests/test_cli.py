@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import math
@@ -145,6 +146,23 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         cli.main(["no-such-command"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "s2", "--N", "5..2"],
+    ["sweep", "s2", "--N", "x"],
+    ["sweep", "mutual-slack", "--M-range", "4..x"],
+    ["state", "slater", "--M", "4", "--occ", "a,b"],
+    ["verify", "ef", "--M", "4", "--random", "0", "--restarts", "0"],
+    ["sweep", "ef", "--restarts", "0"],
+    ["verify", "mutual", "--M", "4", "--random", "0", "--tol", "support_cutoff=-1"],
+])
+def test_malformed_values_exit_2(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fermient: error: ")
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_verify_empty_selection_is_usage_error(capsys):
@@ -308,3 +326,38 @@ def test_wrong_eigensolver_result_exits_4(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("fermient: numerical failure: eigen-residual")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_bound_report_grace_zero_holds_exactly_at_the_limit():
+    limit = 1e-10
+    assert bound_report("match", limit, limit, "<=", grace=0.0).holds
+    above = float(np.nextafter(limit, 1.0))
+    assert not bound_report("match", above, limit, "<=", grace=0.0).holds
+    assert bound_report("match", limit + 5e-10, limit, "<=").holds  # bound_slack 1e-9
+
+
+def test_tracer_sees_every_layer_call(monkeypatch, capsys):
+    # the benchmark's Tracer rebinds layer functions only where the package and
+    # its layer modules hold them; a from-import elsewhere escapes it
+    monkeypatch.syspath_prepend(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    from perfbench.tracing import LAYERS, Tracer
+
+    import fermient
+    originals = {id(getattr(importlib.import_module(f"fermient.{layer}"), name))
+                 for layer, names in LAYERS.items() for name in names}
+    tracer = Tracer()
+    tracer.install(fermient)
+    try:
+        assert cli.main(["verify", "ef", "--M", "4", "--random", "0"]) == 0
+        assert cli.main(["verify", "yang"]) == 0
+        untraced = [f"{modname}.{attr}" for modname, mod in list(sys.modules.items())
+                    if modname.startswith("fermient.")
+                    for attr, val in vars(mod).items() if id(val) in originals]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.missing == []
+    assert untraced == []
+    names = {span[3] for span in tracer.spans}
+    assert {"entmeasures.ef_optimize", "hermlin.eig_herm",
+            "rdmcore.reduce_mixed"} <= names

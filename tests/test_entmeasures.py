@@ -267,6 +267,16 @@ def test_ef_mixture_reaches_floor():
     assert res.value == pytest.approx(LN2, abs=1e-6)
 
 
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_ef_refuses_fewer_than_one_restart(restarts):
+    b = RankedBasis(4, 2)
+    pure = slater_state(b, (0, 1))
+    mixed = convex_mixture([0.5, 0.5], [pure, slater_state(b, (2, 3))])
+    for st in (pure, mixed):
+        with pytest.raises(ShapeError, match="restarts"):
+            ef_optimize(_pair_tensor(st), EfOptions(restarts=restarts))
+
+
 def test_ef_deterministic_and_reconstructs():
     t = _pair_tensor(convex_mixture(
         [0.25, 0.75], [slater_state(RankedBasis(4, 2), (0, 1)),
