@@ -9,7 +9,8 @@ Output contract:
     `#`-prefixed metadata, or an aligned text table;
   * exit codes: 0 success / all bounds hold, 1 bound violation,
     2 usage or configuration error (malformed ranges or mode lists,
-    negative tolerances, fewer than one E_f restart), 3 capacity guard,
+    negative tolerances or --random counts, fewer than one E_f restart or
+    --jobs worker), 3 capacity guard,
     4 numerical failure (a result failed its accuracy check) or any other
     crash, so that a crash never reads as a violated bound.
 """
@@ -29,16 +30,15 @@ import numpy as np
 from . import __version__, suites
 from .config import TOL, Tolerances, tolerances_dict
 from .entmeasures import (EfOptions, LN2, ef_optimize, mutual_info_bounds,
-                          vn_entropy, yang_analytics)
+                          purity, vn_entropy, yang_analytics)
 from .errors import CapacityError, FermientError, NumericalError
 from .fockbasis import RankedBasis, binom
 from .hermlin import eig_herm
-from .rdmcore import (PHYSICS, UNIT, dumps_rdm, embed_wedge_to_tensor, load_rdm,
-                      ptrace_rdm, reduce_mixed, rescale)
+from .rdmcore import (PHYSICS, UNIT, ReducedDM, dumps_rdm, embed_wedge_to_tensor,
+                      loads_rdm, ptrace_rdm, reduce_mixed, rescale)
 from .report import BoundReport, fmt17, json_value, report_json_line
-from .statekit import (PureStateN, YangParams, chi_pair_vector,
-                       convex_mixture, dumps_state, load_state,
-                       random_pure_state, slater_state, yang_state)
+from .statekit import (YangParams, chi_pair_vector, convex_mixture, dumps_state,
+                       loads_state, random_pure_state, slater_state, yang_state)
 
 _TEXT_NUM = ".12g"
 
@@ -168,22 +168,6 @@ def _emit_file(body: str, summary: str, args, tol: Tolerances) -> None:
     print(summary, file=sys.stdout if args.out else sys.stderr)
 
 
-def _sniff_load(path: str):
-    with open(path, "r", encoding="ascii") as fh:
-        for ln in fh:
-            s = ln.strip()
-            if s and not s.startswith("#"):
-                head = s.split()[0]
-                break
-        else:
-            raise FermientError(f"{path}: empty file")
-    if head == "fermistate":
-        return load_state(path)
-    if head == "fermirdm":
-        return load_rdm(path)
-    raise FermientError(f"{path}: unknown header {head!r}")
-
-
 # ---------------------------------------------------------------------------
 # state / rdm / entropy / yang commands
 
@@ -213,23 +197,39 @@ def cmd_state(args) -> int:
     return 0
 
 
+def _unit_rdm(path: str, k: int | None, tol: Tolerances) -> ReducedDM | None:
+    """The unit-trace k-RDM of a state or RDM file (an RDM is traced down, never
+    raised); k = None keeps an RDM's own k and gives None for a pure state."""
+    with open(path, "r", encoding="ascii") as fh:
+        text = fh.read()
+    head = next((ln.split()[0] for ln in text.splitlines()
+                 if ln.strip() and not ln.lstrip().startswith("#")), None)
+    if head == "fermistate":
+        st = loads_state(text)          # validated even when k is None
+        return None if k is None else reduce_mixed(st, k)
+    if head != "fermirdm":
+        raise FermientError(f"{path}: empty file" if head is None
+                            else f"{path}: unknown header {head!r}")
+    r = loads_rdm(text)
+    r = r if r.normalization == UNIT else rescale(r, UNIT, tol)
+    if k is None or k == r.k:
+        return r
+    if k > r.k:
+        raise FermientError(f"cannot raise a {r.k}-RDM to k={k}")
+    return ptrace_rdm(r, k)
+
+
 def cmd_rdm(args) -> int:
     tol = _resolve_tol(args.tol)
-    obj = _sniff_load(args.input)
-    if isinstance(obj, PureStateN):
-        r = reduce_mixed(obj, args.k)
-    else:
-        r = obj if obj.normalization == UNIT else rescale(obj, UNIT, tol)
-        if args.k < r.k:
-            r = ptrace_rdm(r, args.k)
-        elif args.k != r.k:
-            raise FermientError(f"cannot raise a {r.k}-RDM to k={args.k}")
-    unit_spec = eig_herm(r.matrix, vectors=False, tol=tol)
-    entropy = vn_entropy(unit_spec, tol)
+    r = _unit_rdm(args.input, args.k, tol)
+    spec = eig_herm(r.matrix, vectors=False, tol=tol)
+    entropy = vn_entropy(spec, tol)
+    scale = 1.0
     if args.norm == PHYSICS:
         r = rescale(r, PHYSICS, tol)
+        scale = float(binom(r.n_particles, r.k))
     tr = float(np.trace(r.matrix).real)
-    top = eig_herm(r.matrix, vectors=False, tol=tol).eigenvalues[:5].tolist()
+    top = (spec.eigenvalues[:5] * scale).tolist()
     _emit_file(dumps_rdm(r),
                f"fermirdm M={r.basis.n_modes} k={r.k} norm={r.normalization} "
                f"trace={tr:{_TEXT_NUM}} entropy={entropy:{_TEXT_NUM}} "
@@ -240,26 +240,12 @@ def cmd_rdm(args) -> int:
 
 def cmd_entropy(args) -> int:
     tol = _resolve_tol(args.tol)
-    obj = _sniff_load(args.input)
-    if isinstance(obj, PureStateN):
-        if args.k is not None:
-            r = reduce_mixed(obj, args.k)
-            spec = eig_herm(r.matrix, vectors=False, tol=tol)
-            kind = f"{args.k}-rdm"
-        else:
-            spec = None
-            kind = "pure-state"
+    r = _unit_rdm(args.input, args.k, tol)
+    if r is None:
+        kind, s, pur = "pure-state", 0.0, 1.0
     else:
-        r = obj if obj.normalization == UNIT else rescale(obj, UNIT, tol)
-        if args.k is not None and args.k < r.k:
-            r = ptrace_rdm(r, args.k)
         spec = eig_herm(r.matrix, vectors=False, tol=tol)
-        kind = f"{r.k}-rdm"
-    if spec is None:
-        s, pur = 0.0, 1.0
-    else:
-        s = vn_entropy(spec, tol)
-        pur = float(np.sum(spec.eigenvalues ** 2))
+        kind, s, pur = f"{r.k}-rdm", vn_entropy(spec, tol), purity(spec)
     unit = "nats"
     shown = s
     if args.bits:
@@ -286,9 +272,9 @@ def cmd_yang(args) -> int:
         "unit": "bits" if args.bits else "nats",
     }
     if args.numeric:
-        r2, _, row["spectrum_max_diff"] = suites.yang_spectrum(
+        spec, row["spectrum_max_diff"] = suites.yang_spectrum(
             ana, yang_state(YangParams(args.m, args.n)), tol)
-        row["entropy_numeric"] = vn_entropy(r2, tol) / scale
+        row["entropy_numeric"] = vn_entropy(spec, tol) / scale
     _emit_table(list(row.keys()), [list(row.values())], args, tol)
     return 0
 
@@ -357,7 +343,8 @@ def _sweep_yang_spectrum(args, tol) -> tuple[list[str], list[list]]:
     for m in _parse_range(getattr(args, "m", None) or "2..5"):
         for n in range(1, m + 1):
             ana = yang_analytics(YangParams(m, n))
-            _, lam, diff = suites.yang_spectrum(ana, yang_state(YangParams(m, n)), tol)
+            spec, diff = suites.yang_spectrum(ana, yang_state(YangParams(m, n)), tol)
+            lam = spec.eigenvalues
             lam2_num = float(lam[1]) if lam.size > 1 else 0.0
             rows.append([m, n, ana.lam1, float(lam[0]), ana.lam2, lam2_num, diff])
     return ["m", "n", "lam1_analytic", "lam1_numeric", "lam2_analytic",
@@ -515,6 +502,10 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        for name, low in (("random", 0), ("jobs", 1)):    # least valid counts
+            if getattr(args, name, low) < low:
+                raise FermientError(
+                    f"--{name} must be at least {low}, got {getattr(args, name)}")
         return args.func(args)
     except CapacityError as exc:
         print(f"fermient: capacity: {exc}", file=sys.stderr)

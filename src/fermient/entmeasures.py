@@ -36,7 +36,7 @@ from .rdmcore import (ReducedDM, TensorDM, UNIT, reduce_amplitudes,
                       reduce_mixed, reduce_pure, tensor_ptrace)
 from .report import BoundReport, bound_report
 from .statekit import (MixedStateN, PureStateN, YangParams, as_mixture,
-                       slater_state)
+                       complex_normal, seeded_rng, slater_state)
 
 LN2 = math.log(2.0)
 
@@ -88,6 +88,11 @@ def purity(obj) -> float:
     return trace_product(mat, mat)
 
 
+def _mixture_gram(w: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """G_ij = sqrt(w_i w_j) <v_i|v_j> for the columns v_i of vecs."""
+    return (vecs.conj().T @ vecs) * np.sqrt(np.outer(w, w))
+
+
 def state_entropy(state: PureStateN | MixedStateN, tol: Tolerances = TOL) -> float:
     """Entropy of the full N-particle density matrix via its Gram spectrum.
 
@@ -98,8 +103,7 @@ def state_entropy(state: PureStateN | MixedStateN, tol: Tolerances = TOL) -> flo
     mix = as_mixture(state)
     w = np.asarray([t[0] for t in mix.terms], dtype=float)
     vecs = np.stack([t[1].amplitudes for t in mix.terms], axis=1)
-    gram = (vecs.conj().T @ vecs) * np.sqrt(np.outer(w, w))
-    return vn_entropy(eig_herm(gram, vectors=False, tol=tol), tol)
+    return vn_entropy(eig_herm(_mixture_gram(w, vecs), vectors=False, tol=tol), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +211,7 @@ def subadd_remainder_n(t: TensorDM, grouping=None, tol: Tolerances = TOL,
     block_dims = [d ** len(b) for b in blocks]
     if t.factors is not None:
         w, vecs = t.factors
-        gram = (vecs.conj().T @ vecs) * np.sqrt(np.outer(w, w))
-        gspec = eig_herm(gram, vectors=True, tol=tol)
+        gspec = eig_herm(_mixture_gram(w, vecs), vectors=True, tol=tol)
         s_full = vn_entropy(gspec, tol)
         keep = gspec.eigenvalues > tol.support_cutoff
         lam = gspec.eigenvalues[keep]
@@ -337,7 +340,6 @@ class EfOptions:
     restarts: int = 20
     seed: int = 0
     max_iters: int = 60                # sweeps per restart
-    tol: float = TOL.ef_sweep_tol      # sweep improvement threshold
 
 
 @dataclass
@@ -445,9 +447,10 @@ def ef_optimize(t: TensorDM, opts: EfOptions | None = None,
                 tol: Tolerances = TOL, cap: Capacities = CAP) -> EfResult:
     """Upper bound on the entanglement of formation of a two-party state.
 
-    Deterministic for fixed (input, opts.seed): restarts draw from Philox
-    streams keyed (seed, restart) and the winner is the first restart
-    attaining the best value.
+    Deterministic for fixed (input, opts.seed): restarts draw from the
+    streams seeded_rng(seed, restart) and the winner is the first restart
+    attaining the best value. A restart has converged once a sweep lowers
+    the total by less than tol.ef_sweep_tol.
     """
     opts = opts or EfOptions()
     if opts.restarts < 1:
@@ -488,10 +491,7 @@ def ef_optimize(t: TensorDM, opts: EfOptions | None = None,
             iso = np.zeros((L, r), dtype=complex)
             iso[:r, :r] = np.eye(r)
         else:
-            rng = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence(opts.seed, spawn_key=(restart,))))
-            z = rng.standard_normal((L, r)) + 1j * rng.standard_normal((L, r))
-            iso, _ = np.linalg.qr(z)           # (L, r), orthonormal columns
+            iso, _ = np.linalg.qr(complex_normal(seeded_rng(opts.seed, restart), L, r))
         w = iso @ x
         contribs = _member_contribs(w, d, d)
         total = float(contribs.sum())
@@ -521,7 +521,7 @@ def ef_optimize(t: TensorDM, opts: EfOptions | None = None,
                         w[k], w[l] = new_k, new_l
                         contribs[[k, l]] = _member_contribs(w[[k, l]], d, d)
                         total = float(contribs.sum())
-            if before - total < opts.tol:
+            if before - total < tol.ef_sweep_tol:
                 converged = True
                 break
         if best is None or total < best[0]:
@@ -663,14 +663,17 @@ def yang_analytics(p: YangParams) -> YangAnalytics:
 # ---------------------------------------------------------------------------
 # 2-RDM entropy minimization (observational search)
 
+# min-S2 step: first size, factor after a cycle with no gain, size that stops
+_MINS2_STEP = 0.5
+_MINS2_SHRINK = 0.5
+_MINS2_STEP_FLOOR = 1e-4
+
+
 @dataclass
 class MinS2Options:
     restarts: int = 50
     iters: int = 600           # coordinate proposals per restart
     seed: int = 0
-    step: float = 0.5
-    shrink: float = 0.5
-    step_floor: float = 1e-4
 
 
 @dataclass
@@ -694,26 +697,22 @@ def min_s2_search(M: int, N: int, opts: MinS2Options | None = None,
     if N < 2:
         raise RangeError("2-RDM search needs N >= 2")
     basis = RankedBasis(M, N)
-    cutoff = tol.support_cutoff
 
     def s2_fast(amps: np.ndarray) -> float:
-        lam = np.linalg.eigvalsh(reduce_amplitudes(amps, M, N, 2))
-        pos = lam[lam > cutoff]
-        return float(-(pos * np.log(pos)).sum())
+        return entropy_of_probs(np.linalg.eigvalsh(reduce_amplitudes(amps, M, N, 2)),
+                                tol.support_cutoff)
 
     reference = vn_entropy(reduce_pure(slater_state(basis, range(N)), 2), tol)
     best_s = math.inf
     best_amps = None
     evals = 0
     for restart in range(opts.restarts):
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(opts.seed, spawn_key=(restart,))))
-        z = rng.standard_normal((2, basis.dim))
-        amps = z[0] + 1j * z[1]
+        rng = seeded_rng(opts.seed, restart)
+        amps = complex_normal(rng, basis.dim)
         amps /= np.linalg.norm(amps)
         cur = s2_fast(amps)
         evals += 1
-        step = opts.step
+        step = _MINS2_STEP
         improved_in_cycle = False
         for it in range(opts.iters):
             i = it % basis.dim
@@ -727,8 +726,8 @@ def min_s2_search(M: int, N: int, opts: MinS2Options | None = None,
                 improved_in_cycle = True
             if i == basis.dim - 1:
                 if not improved_in_cycle:
-                    step *= opts.shrink
-                    if step < opts.step_floor:
+                    step *= _MINS2_SHRINK
+                    if step < _MINS2_STEP_FLOOR:
                         break
                 improved_in_cycle = False
         if cur < best_s:

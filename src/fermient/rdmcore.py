@@ -31,7 +31,8 @@ from .config import CAP, TOL, Capacities, Tolerances
 from .errors import (CapacityError, NormalizationError, RangeError,
                      ShapeError)
 from .fockbasis import RankedBasis, binom, modes_of, unrank
-from .statekit import MixedStateN, PureStateN, as_mixture
+from .statekit import (MixedStateN, PureStateN, as_mixture, ginibre_density,
+                       seeded_rng)
 
 _FMT = "{:.17g}"
 
@@ -281,11 +282,7 @@ def project_antisymmetric(t: TensorDM) -> TensorDM:
 
 def random_two_party_dm(local_dim: int, rank: int, seed: int) -> TensorDM:
     """Seeded random two-party density matrix: normalized Ginibre of given rank."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    d = local_dim * local_dim
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
+    rho = ginibre_density(seeded_rng(seed), local_dim * local_dim, rank)
     return TensorDM(parties=2, local_dim=local_dim, matrix=rho,
                     source=f"random(d={local_dim},rank={rank},seed={seed})")
 

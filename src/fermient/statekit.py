@@ -1,8 +1,8 @@
 """Construction and serialization of N-fermion states on the ranked basis.
 
 States are amplitude vectors over the colex-ranked antisymmetric basis.
-Random states draw from a Philox counter-based generator so every seed is
-bit-reproducible across platforms.
+Every random draw in the package comes from `seeded_rng`, a keyed Philox
+stream, so every seed is bit-reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -102,14 +102,30 @@ def chi_pair_vector(m: int) -> PureStateN:
     return yang_state(YangParams(m, 1))
 
 
+def seeded_rng(seed: int, *key: int) -> np.random.Generator:
+    """The Philox stream of SeedSequence(seed, spawn_key=key)."""
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """g = N + iN, all real parts drawn before all imaginary parts."""
+    z = rng.standard_normal((2, *shape))
+    return z[0] + 1j * z[1]
+
+
+def ginibre_density(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
+    """rho = g g^+ / Tr(g g^+) for g = complex_normal(rng, dim, rank)."""
+    g = complex_normal(rng, dim, rank)
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
 def random_pure_state(basis: RankedBasis, seed: int, cap: Capacities = CAP) -> PureStateN:
-    """Haar-like random state: complex standard normals from Philox, normalized."""
+    """Haar-like random state: complex_normal(seeded_rng(seed), dim), normalized."""
     _guard_dim(basis, cap)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    z = rng.standard_normal((2, basis.dim))
-    amps = z[0] + 1j * z[1]
-    amps /= np.linalg.norm(amps)
-    return PureStateN(basis, amps)
+    amps = complex_normal(seeded_rng(seed), basis.dim)
+    return PureStateN(basis, amps / np.linalg.norm(amps))
 
 
 def convex_mixture(weights: Sequence[float], states: Sequence[PureStateN]) -> MixedStateN:

@@ -65,11 +65,11 @@ def _entries(run: SuiteRun) -> list[corpus.CorpusEntry]:
 
 
 def yang_spectrum(ana: YangAnalytics, st: PureStateN, tol: Tolerances):
-    """The pair state's unit 2-RDM, its spectrum (descending) and the largest
-    difference from the closed-form spectrum in `ana`."""
-    r2 = rdmcore.reduce_mixed(st, 2)
-    lam = hermlin.eig_herm(r2.matrix, vectors=False, tol=tol).eigenvalues
-    return r2, lam, float(np.max(np.abs(lam - ana.spectrum(dim=lam.size))))
+    """The spectrum of the pair state's unit 2-RDM and its largest difference
+    from the closed-form spectrum in `ana`."""
+    spec = hermlin.eig_herm(rdmcore.reduce_mixed(st, 2).matrix, vectors=False, tol=tol)
+    lam = spec.eigenvalues
+    return spec, float(np.max(np.abs(lam - ana.spectrum(dim=lam.size))))
 
 
 def mutual(run: SuiteRun) -> list[BoundReport]:
@@ -101,14 +101,9 @@ def subadd(run: SuiteRun) -> list[BoundReport]:
         out.append(rep)
     # product states: the equality case
     for d in (2, 3, 4):
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(seed, spawn_key=(7, d))))
-        g1 = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        g2 = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        r1 = g1 @ g1.conj().T
-        r1 /= np.trace(r1).real
-        r2 = g2 @ g2.conj().T
-        r2 /= np.trace(r2).real
+        rng = statekit.seeded_rng(seed, 7, d)
+        r1 = statekit.ginibre_density(rng, d, d)
+        r2 = statekit.ginibre_density(rng, d, d)
         t = rdmcore.TensorDM(parties=2, local_dim=d, matrix=hermlin.kron(r1, r2),
                              source=f"product-d{d}")
         rep = entmeasures.subadd_remainder(t, tol=tol)
@@ -125,8 +120,7 @@ def elem(run: SuiteRun) -> list[BoundReport]:
         rep.context["state"] = e.name
         out.append(rep)
     # route agreement on random spectra
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(run.seed, spawn_key=(11,))))
+    rng = statekit.seeded_rng(run.seed, 11)
     for i in range(50):
         dim = int(rng.integers(3, 13))
         n = int(rng.integers(2, dim + 1))
@@ -174,11 +168,7 @@ def squash(run: SuiteRun) -> list[BoundReport]:
     for i in range(max(4, min(run.n_random, 12))):
         d = 2 + (i % 2)
         q = 1 + (i % 3)
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(run.seed, spawn_key=(13, i))))
-        g = rng.standard_normal((d ** 3, q)) + 1j * rng.standard_normal((d ** 3, q))
-        rho = g @ g.conj().T
-        rho /= np.trace(rho).real
+        rho = statekit.ginibre_density(statekit.seeded_rng(run.seed, 13, i), d ** 3, q)
         t = rdmcore.TensorDM(parties=3, local_dim=d, matrix=rho, source=f"tri-{i}")
         val = entmeasures.squashed_extension_value(
             entmeasures.extension_spec_from_tripartite(t, tol))
@@ -194,12 +184,13 @@ def yang(run: SuiteRun) -> list[BoundReport]:
         for n in range(1, m + 1):
             ana = entmeasures.yang_analytics(YangParams(m, n))
             st = statekit.yang_state(YangParams(m, n))
-            r2, lam, diff = yang_spectrum(ana, st, tol)
+            spec, diff = yang_spectrum(ana, st, tol)
             out.append(report.bound_report(
                 "yang/spectrum-match", diff, CLOSED_FORM_MATCH, "<=", tol,
                 grace=0.0, m=m, n=n))
+            s2 = entmeasures.vn_entropy(spec, tol)
             out.append(report.bound_report(
-                "yang/entropy-match", abs(entmeasures.vn_entropy(r2, tol) - ana.entropy),
+                "yang/entropy-match", abs(s2 - ana.entropy),
                 CLOSED_FORM_MATCH, "<=", tol, grace=0.0, m=m, n=n))
             N = 2 * n
             top1 = hermlin.eig_herm(rdmcore.reduce_mixed(st, 1).matrix, vectors=False,
@@ -207,6 +198,6 @@ def yang(run: SuiteRun) -> list[BoundReport]:
             out.append(report.bound_report("yang/occupation-bound", 1.0 / N, top1,
                                            ">=", tol, m=m, n=n, N=N))
             out.append(report.bound_report("yang/pair-eigenvalue-bound",
-                                           2.0 / (N - 1), lam[0], ">=", tol,
-                                           m=m, n=n, N=N))
+                                           2.0 / (N - 1), spec.eigenvalues[0],
+                                           ">=", tol, m=m, n=n, N=N))
     return out

@@ -97,6 +97,17 @@ def test_entropy_bits_ratio(tmp_path, capsys):
     assert nats["entropy"] == pytest.approx(math.log(6), abs=1e-12)
 
 
+def test_entropy_cannot_raise_an_rdm_file(tmp_path, capsys):
+    p = _write_yang(tmp_path, 3, 2)
+    r2 = tmp_path / "two.fermirdm"
+    assert cli.main(["rdm", str(p), "--k", "2", "--out", str(r2)]) == 0
+    capsys.readouterr()
+    assert cli.main(["entropy", str(r2), "--k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot raise a 2-RDM to k=3" in captured.err
+
+
 def test_entropy_pure_state_without_k(tmp_path, capsys):
     p = _write_yang(tmp_path, 2, 1)
     capsys.readouterr()
@@ -137,6 +148,14 @@ def test_verify_exit_1_on_violation(capsys, monkeypatch):
     assert _json_lines(out)[1]["holds"] is False
 
 
+def test_ef_sweep_tol_override_is_enforced(capsys):
+    # a sweep that improves the total by less than ef_sweep_tol ends the restart
+    assert cli.main(["verify", "ef", "--M", "6", "--N", "4", "--random", "8",
+                     "--tol", "ef_sweep_tol=1e3"]) == 0
+    reports = _json_lines(capsys.readouterr().out)[1:]
+    assert reports and all(r["context"]["converged"] for r in reports)
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert cli.main(["verify", "mutual", "--tol", "bogus=1"]) == 2
     assert cli.main(["verify", "mutual", "--tol", "no-equals"]) == 2
@@ -156,6 +175,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     ["verify", "ef", "--M", "4", "--random", "0", "--restarts", "0"],
     ["sweep", "ef", "--restarts", "0"],
     ["verify", "mutual", "--M", "4", "--random", "0", "--tol", "support_cutoff=-1"],
+    ["verify", "mutual", "--M", "4", "--random", "-3"],
+    ["sweep", "mutual-slack", "--random", "-1"],
+    ["verify", "mutual", "--M", "4", "--random", "0", "--jobs", "0"],
 ])
 def test_malformed_values_exit_2(argv, capsys):
     assert cli.main(argv) == 2

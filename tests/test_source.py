@@ -1,0 +1,41 @@
+"""Static checks on the package source, read with `ast`."""
+
+import ast
+import pathlib
+
+import fermient
+
+SRC = pathlib.Path(fermient.__file__).parent
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def test_modules_use_every_name_they_import():
+    unused = []
+    for name, tree in _trees().items():
+        if name == "__init__.py":       # re-exports the public names
+            continue
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{name}:{line} {ident}" for ident, line in imported.items()
+                   if ident not in used]
+    assert unused == []
+
+
+def test_philox_is_constructed_at_one_site():
+    sites = [f"{name}:{node.lineno}" for name, tree in _trees().items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and (getattr(node.func, "attr", None) == "Philox"
+                  or getattr(node.func, "id", None) == "Philox")]
+    assert len(sites) == 1, sites
