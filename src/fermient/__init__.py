@@ -15,7 +15,7 @@ from .errors import (CapacityError, FermientError, InvalidModeSetError,
                      NumericalError, RangeError, ShapeError)
 from .fockbasis import (RankedBasis, binom, enumerate_supersets, merge_sign,
                         modes_of, modeset, rank, unrank)
-from .hermlin import (Spectrum, as_hermitian, eig_herm, kron,
+from .hermlin import (Spectrum, as_hermitian, eig_herm, kron, psd_root,
                       sqrt_from_spectrum, sqrt_psd, trace_product)
 from .statekit import (MixedStateN, PureStateN, YangParams, as_mixture,
                        chi_pair_vector, convex_mixture, dumps_state,

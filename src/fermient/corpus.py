@@ -25,7 +25,6 @@ class CorpusEntry:
     name: str
     kind: str                       # slater | yang | chi | random | mixture
     state: PureStateN | MixedStateN
-    meta: dict
     _rdms: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -42,34 +41,28 @@ def build_corpus(seed: int = 1, n_random: int = 200) -> list[CorpusEntry]:
     entries: list[CorpusEntry] = []
     for M, N in SLATER_SHAPES:
         st = slater_state(RankedBasis(M, N), range(N))
-        entries.append(CorpusEntry(f"slater-M{M}-N{N}", "slater", st,
-                                   {"M": M, "N": N}))
+        entries.append(CorpusEntry(f"slater-M{M}-N{N}", "slater", st))
     for m, n in YANG_SHAPES:
         st = yang_state(YangParams(m, n))
-        entries.append(CorpusEntry(f"yang-m{m}-n{n}", "yang", st,
-                                   {"M": 2 * m, "N": 2 * n, "m": m, "n": n}))
+        entries.append(CorpusEntry(f"yang-m{m}-n{n}", "yang", st))
     for m in (2, 3):
         st = chi_pair_vector(m)
-        entries.append(CorpusEntry(f"chi-m{m}", "chi", st,
-                                   {"M": 2 * m, "N": 2, "m": m}))
+        entries.append(CorpusEntry(f"chi-m{m}", "chi", st))
     # a few fixed mixtures exercising the mixed-state paths
     b52 = RankedBasis(5, 2)
     mix1 = convex_mixture([0.5, 0.5],
                           [slater_state(b52, (0, 1)), slater_state(b52, (2, 3))])
-    entries.append(CorpusEntry("mix-slater-pair-M5-N2", "mixture", mix1,
-                               {"M": 5, "N": 2, "terms": 2}))
+    entries.append(CorpusEntry("mix-slater-pair-M5-N2", "mixture", mix1))
     b63 = RankedBasis(6, 3)
     mix2 = convex_mixture([0.25, 0.25, 0.5],
                           [slater_state(b63, (0, 1, 2)),
                            slater_state(b63, (1, 2, 3)),
                            random_pure_state(b63, seed=seed * 1000 + 1)])
-    entries.append(CorpusEntry("mix-3term-M6-N3", "mixture", mix2,
-                               {"M": 6, "N": 3, "terms": 3}))
+    entries.append(CorpusEntry("mix-3term-M6-N3", "mixture", mix2))
     mix3 = convex_mixture([0.7, 0.3],
                           [yang_state(YangParams(3, 2)),
                            slater_state(RankedBasis(6, 4), (0, 1, 2, 3))])
-    entries.append(CorpusEntry("mix-yang-slater-M6-N4", "mixture", mix3,
-                               {"M": 6, "N": 4, "terms": 2}))
+    entries.append(CorpusEntry("mix-yang-slater-M6-N4", "mixture", mix3))
     # random pure states, round-robin over the shape grid
     per = [n_random // len(RANDOM_SHAPES)] * len(RANDOM_SHAPES)
     for i in range(n_random - sum(per)):
@@ -79,7 +72,6 @@ def build_corpus(seed: int = 1, n_random: int = 200) -> list[CorpusEntry]:
         basis = RankedBasis(M, N)
         for j in range(count):
             st = random_pure_state(basis, seed=seed * 100000 + idx)
-            entries.append(CorpusEntry(f"random-M{M}-N{N}-{j:03d}", "random", st,
-                                       {"M": M, "N": N, "seed_offset": idx}))
+            entries.append(CorpusEntry(f"random-M{M}-N{N}-{j:03d}", "random", st))
             idx += 1
     return entries

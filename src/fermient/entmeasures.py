@@ -30,8 +30,7 @@ from .config import CAP, TOL, Capacities, Tolerances
 from .errors import (CapacityError, NormalizationError, RangeError,
                      ShapeError)
 from .fockbasis import RankedBasis
-from .hermlin import (Spectrum, eig_herm, kron, sqrt_from_spectrum, sqrt_psd,
-                      trace_product)
+from .hermlin import Spectrum, eig_herm, kron, psd_root, trace_product
 from .rdmcore import (ReducedDM, TensorDM, UNIT, reduce_amplitudes,
                       reduce_mixed, reduce_pure, tensor_ptrace)
 from .report import BoundReport, bound_report
@@ -45,13 +44,12 @@ LN2 = math.log(2.0)
 # entropy / purity
 
 def entropy_of_probs(p: np.ndarray, cutoff: float = TOL.support_cutoff) -> float:
-    """-sum p ln p over entries above the support cutoff."""
+    """-sum p ln p over entries above the support cutoff, clamped at 0 (a lone
+    eigenvalue 1 + eps would give -(1 + eps) ln(1 + eps) < 0)."""
     p = np.asarray(p, dtype=float)
     pos = p[p > cutoff]
-    if pos.size == 0:
-        return 0.0
-    # + 0.0 normalizes the -0.0 a pure spectrum produces
-    return float(-(pos * np.log(pos)).sum()) + 0.0
+    # 0.0 first: max returns its first argument on ties, and max(-0.0, 0.0) is -0.0
+    return max(0.0, float(-(pos * np.log(pos)).sum()))
 
 
 def _density_matrix_of(obj) -> np.ndarray:
@@ -160,15 +158,7 @@ def subadd_remainder(t: TensorDM, rho1: np.ndarray | None = None,
             gap = float(np.linalg.norm(np.asarray(given) - computed))
             if gap > tol.marginal_match:
                 raise ShapeError(f"{label} differs from the true marginal by {gap:.3e}")
-    # one eigendecomposition per matrix serves both the entropy and the root
-    spec12 = eig_herm(rho, vectors=True, tol=tol)
-    spec1 = eig_herm(m1, vectors=True, tol=tol)
-    spec2 = eig_herm(m2, vectors=True, tol=tol)
-    s12 = vn_entropy(spec12, tol)
-    s1 = vn_entropy(spec1, tol)
-    s2 = vn_entropy(spec2, tol)
-    a = sqrt_from_spectrum(spec12, tol)
-    b = kron(sqrt_from_spectrum(spec1, tol), sqrt_from_spectrum(spec2, tol))
+    s12, (s1, s2), a, b = _dense_remainder(rho, [m1, m2], tol)
     tr = trace_product(a, b)
     diff = a - b
     tr_alt = 1.0 - 0.5 * trace_product(diff, diff)
@@ -177,6 +167,23 @@ def subadd_remainder(t: TensorDM, rho1: np.ndarray | None = None,
     ctx = {"S12": s12, "S1": s1, "S2": s2, "trace_form": tr,
            "trace_form_alt": tr_alt, "local_dim": t.local_dim}
     return bound_report("subadd/remainder", lhs, rhs, "<=", tol, **ctx)
+
+
+def _entropy_and_root(a: np.ndarray, tol: Tolerances) -> tuple[float, np.ndarray]:
+    spec, root = psd_root(a, tol)
+    return vn_entropy(spec, tol), root
+
+
+def _dense_remainder(rho: np.ndarray, marginals: list[np.ndarray], tol: Tolerances,
+                     cap: Capacities = CAP):
+    """S(rho), the block entropies, sqrt(rho) and x_b sqrt(rho_b), from one
+    checked root (and eigensolve) per matrix."""
+    s_full, root = _entropy_and_root(rho, tol)
+    s_blocks, roots = zip(*(_entropy_and_root(rb, tol) for rb in marginals))
+    prod = roots[0]
+    for r in roots[1:]:
+        prod = kron(prod, r, cap)
+    return s_full, list(s_blocks), root, prod
 
 
 def _contiguous_blocks(parties: int, grouping) -> list[tuple[int, ...]]:
@@ -219,15 +226,9 @@ def subadd_remainder_n(t: TensorDM, grouping=None, tol: Tolerances = TOL,
         basis_vecs /= np.sqrt(lam)
         marginals = []
         for b in blocks:
-            pre = d ** b[0]
-            mid = d ** len(b)
-            post = t.dim // (pre * mid)
-            rb = np.zeros((mid, mid), dtype=complex)
-            for wi, col in zip(w, vecs.T):
-                v3 = col.reshape(pre, mid, post)
-                rb += wi * np.einsum("abc,adc->bd", v3, v3.conj())
-            marginals.append(rb)
-        roots = [sqrt_psd(rb, tol) for rb in marginals]
+            v = vecs.T.reshape(len(w), d ** b[0], d ** len(b), -1)
+            marginals.append(np.einsum("i,iabc,iadc->bd", w, v, v.conj()))
+        s_blocks, roots = zip(*(_entropy_and_root(rb, tol) for rb in marginals))
         tr = 0.0
         for lam_a, e_a in zip(lam, basis_vecs.T):
             image = _apply_blockwise(e_a, roots, block_dims)
@@ -236,15 +237,9 @@ def subadd_remainder_n(t: TensorDM, grouping=None, tol: Tolerances = TOL,
         if t.dim > cap.dense_eig:
             raise CapacityError(
                 f"dense n-party remainder limited to dim {cap.dense_eig}, got {t.dim}")
-        rho = t.dense()
-        s_full = vn_entropy(rho, tol)
-        marginals = [tensor_ptrace(t, b) for b in blocks]
-        roots = [sqrt_psd(rb, tol) for rb in marginals]
-        big = roots[0]
-        for r in roots[1:]:
-            big = kron(big, r, cap)
-        tr = trace_product(sqrt_psd(rho, tol), big)
-    s_blocks = [vn_entropy(rb, tol) for rb in marginals]
+        s_full, s_blocks, root, big = _dense_remainder(
+            t.dense(), [tensor_ptrace(t, b) for b in blocks], tol, cap)
+        tr = trace_product(root, big)
     lhs = s_full - sum(s_blocks)
     rhs = 2.0 * math.log(tr) if tr > 0.0 else -math.inf
     ctx = {"S_full": s_full, "S_blocks": list(s_blocks), "trace_form": tr,
@@ -450,7 +445,7 @@ def ef_optimize(t: TensorDM, opts: EfOptions | None = None,
     Deterministic for fixed (input, opts.seed): restarts draw from the
     streams seeded_rng(seed, restart) and the winner is the first restart
     attaining the best value. A restart has converged once a sweep lowers
-    the total by less than tol.ef_sweep_tol.
+    the total by at most tol.ef_sweep_tol.
     """
     opts = opts or EfOptions()
     if opts.restarts < 1:
@@ -521,7 +516,7 @@ def ef_optimize(t: TensorDM, opts: EfOptions | None = None,
                         w[k], w[l] = new_k, new_l
                         contribs[[k, l]] = _member_contribs(w[[k, l]], d, d)
                         total = float(contribs.sum())
-            if before - total < tol.ef_sweep_tol:
+            if before - total <= tol.ef_sweep_tol:
                 converged = True
                 break
         if best is None or total < best[0]:

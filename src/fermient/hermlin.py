@@ -102,19 +102,26 @@ def sqrt_from_spectrum(spec: Spectrum, tol: Tolerances = TOL) -> np.ndarray:
     return 0.5 * (root + root.conj().T)
 
 
-def sqrt_psd(a: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
-    """Hermitian square root; eigenvalues in [-psd_fail, 0) are clamped to 0.
-    Checked to max |R R - A| <= tol.sqrt_square * ||A|| + the clamped amount."""
-    A = as_hermitian(a, tol)
-    spec = eig_herm(A, vectors=True, tol=tol)
+def psd_root(a: np.ndarray, tol: Tolerances = TOL) -> tuple[Spectrum, np.ndarray]:
+    """Spectrum and Hermitian square root of a PSD matrix from one eigensolve;
+    eigenvalues in [-psd_fail, 0) are clamped to 0. Checked against the input:
+    max |R R - A| <= tol.sqrt_square * ||A|| + the clamped amount + the
+    non-Hermitian part eig_herm lets through, tol.hermiticity * max(||A||, 1)."""
+    spec = eig_herm(a, vectors=True, tol=tol)
     root = sqrt_from_spectrum(spec, tol)
     lam = spec.eigenvalues
-    clamped = -float(lam.min(initial=0.0))
-    bound = tol.sqrt_square * float(np.abs(lam).max(initial=0.0)) + clamped
-    err = float(np.abs(root @ root - A).max(initial=0.0))
+    norm = float(np.abs(lam).max(initial=0.0))
+    bound = (tol.sqrt_square * norm - float(lam.min(initial=0.0))
+             + tol.hermiticity * max(norm, 1.0))
+    err = float(np.abs(root @ root - a).max(initial=0.0))
     if not err <= bound:
         raise NumericalError(f"square-root defect {err:.3e} exceeds {bound:.3e}")
-    return root
+    return spec, root
+
+
+def sqrt_psd(a: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
+    """Checked Hermitian square root: the root of psd_root."""
+    return psd_root(a, tol)[1]
 
 
 def kron(a: np.ndarray, b: np.ndarray, cap: Capacities = CAP) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 from .config import CAP, TOL, Capacities, Tolerances
 from .errors import (CapacityError, NormalizationError, RangeError,
                      ShapeError)
-from .fockbasis import RankedBasis, binom, modes_of, unrank
+from .fockbasis import RankedBasis, binom
 from .statekit import (MixedStateN, PureStateN, as_mixture, ginibre_density,
                        seeded_rng)
 
@@ -155,16 +155,12 @@ def reduce_amplitudes(amps: np.ndarray, M: int, N: int, k: int) -> np.ndarray:
 
 
 def reduce_pure(state: PureStateN, k: int) -> ReducedDM:
-    """Unit-trace k-particle RDM of a pure state."""
-    N = state.basis.n_particles
-    M = state.basis.n_modes
-    rho = reduce_amplitudes(state.amplitudes, M, N, k)
-    return ReducedDM(k=k, basis=RankedBasis(M, k), matrix=rho, normalization=UNIT,
-                     n_particles=N, source=f"reduce_pure(M={M},N={N},k={k})")
+    """Unit-trace k-particle RDM of a pure state (the one-term mixture)."""
+    return reduce_mixed(state, k)
 
 
 def reduce_mixed(state: MixedStateN | PureStateN, k: int) -> ReducedDM:
-    """Weight-linear extension of reduce_pure to mixtures."""
+    """Unit-trace k-particle RDM of a mixture, linear in the weights."""
     mix = as_mixture(state)
     N = mix.basis.n_particles
     M = mix.basis.n_modes
@@ -222,27 +218,29 @@ def rescale(r: ReducedDM, target: str, tol: Tolerances = TOL) -> ReducedDM:
 # tensor-space embeddings
 
 @lru_cache(maxsize=None)
-def _perm_signs(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    out = []
-    for perm in itertools.permutations(range(n)):
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        out.append((perm, -1 if inv & 1 else 1))
-    return tuple(out)
+def _antisym_table(M: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor positions and signs of the antisymmetrized wedge kets.
+
+    pos[col, p] is the position in (C^M)^(x k) of permutation p of the
+    ascending modes of wedge ket `col` (colex order), and sgn[p] is the sign
+    of permutation p; |col> maps to sum_p sgn[p] |pos[col, p]> / sqrt(k!).
+    """
+    masks = _colex_masks(M, k)
+    bits = (masks[:, None] >> np.arange(M, dtype=np.uint64)) & np.uint64(1)
+    modes = np.nonzero(bits)[1].reshape(masks.size, k)     # ascending per row
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64)
+    inv = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
+    sgn = 1 - 2 * (inv & 1)
+    pos = modes[:, perms] @ (M ** np.arange(k - 1, -1, -1, dtype=np.int64))
+    return pos, sgn
 
 
 @lru_cache(maxsize=None)
 def _wedge_isometry(M: int, k: int) -> np.ndarray:
     """Isometry W: wedge basis -> (C^M)^(x k); columns are antisymmetrized kets."""
-    sub = RankedBasis(M, k)
-    W = np.zeros((M ** k, sub.dim), dtype=complex)
-    nrm = 1.0 / math.sqrt(math.factorial(k))
-    for col in range(sub.dim):
-        ms = modes_of(unrank(sub, col))
-        for perm, sgn in _perm_signs(k):
-            pos = 0
-            for t in range(k):
-                pos = pos * M + ms[perm[t]]
-            W[pos, col] = sgn * nrm
+    pos, sgn = _antisym_table(M, k)
+    W = np.zeros((M ** k, pos.shape[0]), dtype=complex)
+    W[pos, np.arange(pos.shape[0])[:, None]] = sgn * (1.0 / math.sqrt(math.factorial(k)))
     return W
 
 
@@ -258,15 +256,6 @@ def embed_wedge_to_tensor(r: ReducedDM, cap: Capacities = CAP) -> TensorDM:
     return TensorDM(parties=2, local_dim=M, matrix=T, source=f"embed<-{r.source}")
 
 
-@lru_cache(maxsize=None)
-def _swap_matrix(M: int) -> np.ndarray:
-    S = np.zeros((M * M, M * M))
-    for a in range(M):
-        for b in range(M):
-            S[a * M + b, b * M + a] = 1.0
-    return S
-
-
 def project_antisymmetric(t: TensorDM) -> TensorDM:
     """Compress a two-party matrix with P = (1 - SWAP)/2 on both sides.
 
@@ -275,7 +264,9 @@ def project_antisymmetric(t: TensorDM) -> TensorDM:
     """
     if t.parties != 2:
         raise ShapeError("antisymmetric projection is defined for two parties")
-    P = 0.5 * (np.eye(t.local_dim ** 2) - _swap_matrix(t.local_dim))
+    d = t.local_dim
+    swap = np.eye(d * d)[np.arange(d * d).reshape(d, d).T.reshape(-1)]
+    P = 0.5 * (np.eye(d * d) - swap)
     return TensorDM(parties=2, local_dim=t.local_dim,
                     matrix=P @ t.dense() @ P, source=f"antisym<-{t.source}")
 
@@ -303,46 +294,42 @@ def tensor_ptrace(t: TensorDM, keep: tuple[int, ...]) -> np.ndarray:
                      arr).reshape(d ** len(keep), d ** len(keep))
 
 
-def full_tensor_vector(state: PureStateN, cap: Capacities = CAP) -> np.ndarray:
+def full_tensor_vector(state: PureStateN) -> np.ndarray:
     """Antisymmetrized embedding of |psi> into (C^M)^(x N), unit norm."""
     M = state.basis.n_modes
     N = state.basis.n_particles
     dim = M ** N
-    if dim > cap.brute_force:
-        raise CapacityError(f"M**N = {dim} exceeds brute-force capacity {cap.brute_force}")
+    if dim > CAP.brute_force:
+        raise CapacityError(f"M**N = {dim} exceeds brute-force capacity {CAP.brute_force}")
+    pos, sgn = _antisym_table(M, N)
+    nz = np.flatnonzero(state.amplitudes)
     psi = np.zeros(dim, dtype=complex)
-    nrm = 1.0 / math.sqrt(math.factorial(N))
-    for idx in np.flatnonzero(state.amplitudes):
-        ms = modes_of(unrank(state.basis, int(idx)))
-        a = state.amplitudes[idx] * nrm
-        for perm, sgn in _perm_signs(N):
-            pos = 0
-            for t in range(N):
-                pos = pos * M + ms[perm[t]]
-            psi[pos] += sgn * a
+    amps = state.amplitudes[nz] * (1.0 / math.sqrt(math.factorial(N)))
+    # distinct wedge kets have disjoint positions, so each entry is set once
+    psi[pos[nz]] = sgn * amps[:, None]
     return psi
 
 
-def embed_state_full(state: PureStateN | MixedStateN, cap: Capacities = CAP) -> TensorDM:
+def embed_state_full(state: PureStateN | MixedStateN) -> TensorDM:
     """Embed a (possibly mixed) N-fermion state as a factored TensorDM on (C^M)^N."""
     mix = as_mixture(state)
     M = mix.basis.n_modes
     N = mix.basis.n_particles
     weights = np.asarray([w for w, _ in mix.terms], dtype=float)
-    vecs = np.stack([full_tensor_vector(st, cap) for _, st in mix.terms], axis=1)
+    vecs = np.stack([full_tensor_vector(st) for _, st in mix.terms], axis=1)
     dim = M ** N
-    dense = (vecs * weights) @ vecs.conj().T if dim <= cap.tensor_dim else None
+    dense = (vecs * weights) @ vecs.conj().T if dim <= CAP.tensor_dim else None
     return TensorDM(parties=N, local_dim=M, matrix=dense,
                     factors=(weights, vecs), source=f"embed_full(M={M},N={N})")
 
 
-def brute_force_reduce(state: PureStateN, k: int, cap: Capacities = CAP) -> ReducedDM:
+def brute_force_reduce(state: PureStateN, k: int) -> ReducedDM:
     """Dense-oracle k-RDM: full tensor embedding, dense partial trace, compress."""
     M = state.basis.n_modes
     N = state.basis.n_particles
     if not 1 <= k <= N:
         raise RangeError(f"need 1 <= k <= N={N}, got k={k}")
-    psi = full_tensor_vector(state, cap)
+    psi = full_tensor_vector(state)
     block = psi.reshape(M ** k, M ** (N - k))
     W = _wedge_isometry(M, k)
     # contract the isometry first: W^+ (B B^+) W = (W^+ B)(W^+ B)^+, which

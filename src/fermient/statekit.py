@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import CAP, Capacities
+from .config import CAP
 from .errors import (CapacityError, InvalidModeSetError, NormalizationError,
                      ShapeError)
 from .fockbasis import RankedBasis, binom, modeset, rank
@@ -60,10 +60,10 @@ class YangParams:
             raise InvalidModeSetError(f"need 1 <= n <= m <= 32, got m={self.m} n={self.n}")
 
 
-def _guard_dim(basis: RankedBasis, cap: Capacities) -> None:
-    if basis.dim > cap.state_dim:
+def _guard_dim(basis: RankedBasis) -> None:
+    if basis.dim > CAP.state_dim:
         raise CapacityError(
-            f"basis dimension {basis.dim} exceeds capacity {cap.state_dim}")
+            f"basis dimension {basis.dim} exceeds capacity {CAP.state_dim}")
 
 
 def slater_state(basis: RankedBasis, occupied: Iterable[int] | int) -> PureStateN:
@@ -79,11 +79,11 @@ def pair_modes(j: int) -> int:
     return 0b11 << (2 * (j - 1))
 
 
-def yang_state(params: YangParams, cap: Capacities = CAP) -> PureStateN:
+def yang_state(params: YangParams) -> PureStateN:
     """Equal-amplitude superposition of all n-pair determinants on m pairs."""
     m, n = params.m, params.n
     basis = RankedBasis(2 * m, 2 * n)
-    _guard_dim(basis, cap)
+    _guard_dim(basis)
     pairs = RankedBasis(m, n)
     amp = 1.0 / math.sqrt(binom(m, n))
     amps = np.zeros(basis.dim, dtype=complex)
@@ -121,9 +121,9 @@ def ginibre_density(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray
     return rho / np.trace(rho).real
 
 
-def random_pure_state(basis: RankedBasis, seed: int, cap: Capacities = CAP) -> PureStateN:
+def random_pure_state(basis: RankedBasis, seed: int) -> PureStateN:
     """Haar-like random state: complex_normal(seeded_rng(seed), dim), normalized."""
-    _guard_dim(basis, cap)
+    _guard_dim(basis)
     amps = complex_normal(seeded_rng(seed), basis.dim)
     return PureStateN(basis, amps / np.linalg.norm(amps))
 

@@ -54,13 +54,11 @@ def _entries(run: SuiteRun) -> list[corpus.CorpusEntry]:
     entries = list(_corpus(run.seed, run.n_random))
     for i, path in enumerate(run.states):
         st = statekit.load_state(path)
-        entries.append(corpus.CorpusEntry(
-            f"user-{i}-{path}", "user", st,
-            {"M": st.basis.n_modes, "N": st.basis.n_particles}))
+        entries.append(corpus.CorpusEntry(f"user-{i}-{path}", "user", st))
     if run.M is not None:
-        entries = [e for e in entries if e.meta.get("M") == run.M]
+        entries = [e for e in entries if e.basis.n_modes == run.M]
     if run.N is not None:
-        entries = [e for e in entries if e.meta.get("N") == run.N]
+        entries = [e for e in entries if e.basis.n_particles == run.N]
     return entries
 
 

@@ -47,7 +47,7 @@ from fermient import (
     yang_analytics,
     yang_state,
 )
-from fermient import entmeasures
+from fermient import TOL, NumericalError, entmeasures, hermlin
 from fermient.rdmcore import PHYSICS, tensor_ptrace
 from fermient.report import report_json_line
 
@@ -62,6 +62,13 @@ def test_entropy_of_probs():
     v = entropy_of_probs(np.array([1.0, 0.0, 0.0]))
     assert v == 0.0 and math.copysign(1.0, v) == 1.0  # not -0.0
     assert entropy_of_probs(np.array([1.0, 1e-16])) == 0.0
+
+
+def test_entropy_is_never_negative():
+    # a lone eigenvalue 1 + eps gives -(1 + eps) ln(1 + eps) < 0 unclamped
+    for v in (entropy_of_probs(np.array([1 + 2**-52])),
+              state_entropy(random_pure_state(RankedBasis(6, 3), seed=2))):
+        assert v == 0.0 and math.copysign(1.0, v) == 1.0
 
 
 def test_vn_entropy_accepts_each_carrier():
@@ -178,6 +185,34 @@ def test_subadd_n_factored_matches_dense():
     assert rep_fac.rhs == pytest.approx(rep_dense.rhs, abs=1e-6)
 
 
+def test_subadd_checks_its_square_roots(monkeypatch):
+    real = hermlin.sqrt_from_spectrum
+    monkeypatch.setattr(hermlin, "sqrt_from_spectrum",
+                        lambda spec, tol: 1.001 * real(spec, tol))
+    with pytest.raises(NumericalError):
+        subadd_remainder(random_two_party_dm(3, rank=2, seed=4))
+
+
+def test_subadd_n_solves_each_matrix_once(monkeypatch):
+    dims = []
+    real = hermlin.eig_herm
+
+    def counted(a, *args, **kwargs):
+        dims.append(len(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(hermlin, "eig_herm", counted)
+    monkeypatch.setattr(entmeasures, "eig_herm", counted)
+    b = RankedBasis(4, 3)
+    t = embed_state_full(convex_mixture([0.3, 0.7], [slater_state(b, (0, 1, 2)),
+                                                     slater_state(b, (1, 2, 3))]))
+    subadd_remainder_n(t)               # Gram of the two terms, three marginals
+    assert dims == [2, 4, 4, 4]
+    dims.clear()
+    subadd_remainder_n(TensorDM(parties=3, local_dim=4, matrix=t.dense()))
+    assert dims == [64, 4, 4, 4]
+
+
 def test_subadd_n_grouping():
     st = random_pure_state(RankedBasis(3, 3), seed=2)  # 27-dim tensor space
     t = embed_state_full(st)
@@ -251,6 +286,15 @@ def test_nbody_bound_random_and_mixture():
 
 def _pair_tensor(state):
     return embed_wedge_to_tensor(reduce_mixed(state, 2))
+
+
+def test_ef_converges_at_zero_sweep_tol():
+    # a sweep that changes nothing lowers the total by 0 <= ef_sweep_tol
+    t = _pair_tensor(yang_state(YangParams(2, 2)))
+    res = ef_optimize(t, EfOptions(ensemble_size="rank", restarts=2, max_iters=30),
+                      dataclasses.replace(TOL, ef_sweep_tol=0.0))
+    assert res.converged and res.sweeps == 1
+    assert res.value == pytest.approx(LN2, abs=1e-12)
 
 
 def test_ef_pure_determinant_is_ln2():

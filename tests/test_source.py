@@ -39,3 +39,13 @@ def test_philox_is_constructed_at_one_site():
              and (getattr(node.func, "attr", None) == "Philox"
                   or getattr(node.func, "id", None) == "Philox")]
     assert len(sites) == 1, sites
+
+
+def test_square_roots_outside_hermlin_are_checked():
+    # sqrt_from_spectrum skips the square check; elsewhere roots come from psd_root
+    sites = [f"{name}:{node.lineno}" for name, tree in _trees().items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and "sqrt_from_spectrum" in (getattr(node.func, "attr", None),
+                                          getattr(node.func, "id", None))]
+    assert sites and all(site.startswith("hermlin.py:") for site in sites), sites
