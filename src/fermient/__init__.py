@@ -3,7 +3,9 @@
 Layered as: fockbasis (combinatorics) -> hermlin (dense Hermitian linear
 algebra) -> statekit (state constructors, file format) -> rdmcore (reductions
 and tensor embeddings) -> entmeasures (entropies and bound evaluators) ->
-suites (the bound suites of `fermient verify`) -> cli (harness). Everything
+suites (the bound suites of `fermient verify`) -> cli (harness). Beside the
+stack sits report (bound reports and the text encoding: the one file reader
+and writer, record rule, number format and JSON escaping). Everything
 numeric is deterministic for fixed seeds.
 """
 
@@ -13,8 +15,8 @@ from .config import CAP, TOL, Capacities, Tolerances
 from .errors import (CapacityError, FermientError, InvalidModeSetError,
                      NonDisjointError, NormalizationError, NotPSDError,
                      NumericalError, RangeError, ShapeError)
-from .fockbasis import (RankedBasis, binom, enumerate_supersets, merge_sign,
-                        modes_of, modeset, rank, unrank)
+from .fockbasis import (RankedBasis, binom, colex_masks, enumerate_supersets,
+                        merge_sign, modes_of, modeset, rank, unrank)
 from .hermlin import (Spectrum, as_hermitian, eig_herm, kron, psd_root,
                       sqrt_from_spectrum, sqrt_psd, trace_product)
 from .statekit import (MixedStateN, PureStateN, YangParams, as_mixture,

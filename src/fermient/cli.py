@@ -8,9 +8,9 @@ Output contract:
   * reports stream as JSON lines (--format json, default), CSV with
     `#`-prefixed metadata, or an aligned text table;
   * exit codes: 0 success / all bounds hold, 1 bound violation,
-    2 usage or configuration error (malformed ranges or mode lists,
+    2 usage, configuration or input error (malformed ranges or mode lists,
     negative tolerances or --random counts, fewer than one E_f restart or
-    --jobs worker), 3 capacity guard,
+    --jobs worker, malformed or non-ASCII input files), 3 capacity guard,
     4 numerical failure (a result failed its accuracy check) or any other
     crash, so that a crash never reads as a violated bound.
 """
@@ -36,7 +36,8 @@ from .fockbasis import RankedBasis, binom
 from .hermlin import eig_herm
 from .rdmcore import (PHYSICS, UNIT, ReducedDM, dumps_rdm, embed_wedge_to_tensor,
                       loads_rdm, ptrace_rdm, reduce_mixed, rescale)
-from .report import BoundReport, fmt17, json_value, report_json_line
+from .report import (BoundReport, fmt17, json_value, read_text, records,
+                     report_json_line, write_text)
 from .statekit import (YangParams, chi_pair_vector, convex_mixture, dumps_state,
                        loads_state, random_pure_state, slater_state, yang_state)
 
@@ -89,21 +90,10 @@ def _resolve_tol(pairs: list[str] | None) -> Tolerances:
     return dataclasses.replace(TOL, **overrides)
 
 
-def _resolved_config(args: argparse.Namespace) -> dict:
-    out = {}
-    for key in sorted(vars(args)):
-        if key in ("func",):
-            continue
-        val = getattr(args, key)
-        if isinstance(val, (list, tuple)):
-            val = list(val)
-        out[key] = val
-    return out
-
-
 def _meta_obj(args, tol: Tolerances) -> dict:
+    config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     meta = {"tool": "fermient", "version": __version__,
-            "config": _resolved_config(args), "tolerances": tolerances_dict(tol)}
+            "config": config, "tolerances": tolerances_dict(tol)}
     if getattr(args, "stamp", False):
         meta["generated"] = datetime.now(timezone.utc).isoformat()
     return meta
@@ -117,8 +107,7 @@ def _header(meta: dict) -> list[str]:
 
 def _write(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="ascii") as fh:
-            fh.write(text)
+        write_text(out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -200,10 +189,8 @@ def cmd_state(args) -> int:
 def _unit_rdm(path: str, k: int | None, tol: Tolerances) -> ReducedDM | None:
     """The unit-trace k-RDM of a state or RDM file (an RDM is traced down, never
     raised); k = None keeps an RDM's own k and gives None for a pure state."""
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    head = next((ln.split()[0] for ln in text.splitlines()
-                 if ln.strip() and not ln.lstrip().startswith("#")), None)
+    text = read_text(path)
+    head = next(records(text), [None])[0]
     if head == "fermistate":
         st = loads_state(text)          # validated even when k is None
         return None if k is None else reduce_mixed(st, k)

@@ -3,14 +3,18 @@
 A basis state of N fermions in M one-particle modes is a size-N subset of
 {0..M-1}, stored as an integer bitmask (mode i <-> bit i, M <= 64). Subsets
 are ordered colexicographically: the rank of {s_0 < s_1 < ... < s_{N-1}} is
-sum_t C(s_t, t+1), so ranking/unranking needs nothing beyond a Pascal cache
-of exact integers.
+sum_t C(s_t, t+1). Colex compares two sets at their largest differing mode,
+as integer comparison does their bitmasks, so `colex_masks` (ascending masks)
+lists a basis in rank order and a sorted search in it ranks members; `rank`
+and `unrank` are the scalar references over a Pascal cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .config import CAP
 from .errors import InvalidModeSetError, NonDisjointError, RangeError
@@ -74,7 +78,26 @@ class RankedBasis:
         return binom(self.n_modes, self.n_particles)
 
     def __iter__(self) -> Iterator[int]:
-        return (unrank(self, r) for r in range(self.dim))
+        return iter(colex_masks(self.n_modes, self.n_particles).tolist())
+
+
+def colex_masks(M: int, j: int) -> np.ndarray:
+    """Bitmasks of all j-subsets of M modes in colex order ([0] for j = 0)."""
+    masks = np.zeros(1, dtype=np.uint64)
+    for t in range(j):
+        # the (t+1)-subsets whose top mode is c: the t-subsets of modes < c
+        # (a colex prefix of length C(c, t)) with bit c added
+        masks = np.concatenate([masks[:binom(c, t)] | np.uint64(1 << c)
+                                for c in range(t, M)])
+    return masks
+
+
+def spread_bits(masks: np.ndarray, images: Sequence[int]) -> np.ndarray:
+    """Each mask with its bit i replaced by the bitmask images[i]."""
+    out = np.zeros_like(masks)
+    for i, image in enumerate(images):
+        out |= ((masks >> np.uint64(i)) & np.uint64(1)) * np.uint64(image)
+    return out
 
 
 def _check_member(basis: RankedBasis, s: int) -> None:
@@ -141,20 +164,9 @@ def enumerate_supersets(basis: RankedBasis, fixed: int, extra: int) -> list[int]
     """
     if fixed < 0 or fixed >> basis.n_modes:
         raise InvalidModeSetError("fixed set uses modes outside the basis")
-    if extra == 0:
-        return [0]
     avail = [m for m in range(basis.n_modes) if not (fixed >> m) & 1]
     if extra < 0 or extra > len(avail):
         raise InvalidModeSetError(
             f"cannot pick {extra} modes from {len(avail)} free ones")
-    sub = RankedBasis(len(avail), extra)
-    out = []
-    for r in range(sub.dim):
-        pick = unrank(sub, r)
-        s = 0
-        while pick:
-            low = pick & -pick
-            s |= 1 << avail[low.bit_length() - 1]
-            pick ^= low
-        out.append(s)
-    return out
+    # an increasing relabeling of the modes keeps colex order
+    return spread_bits(colex_masks(len(avail), extra), [1 << m for m in avail]).tolist()

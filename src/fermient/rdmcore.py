@@ -30,11 +30,10 @@ import numpy as np
 from .config import CAP, TOL, Capacities, Tolerances
 from .errors import (CapacityError, NormalizationError, RangeError,
                      ShapeError)
-from .fockbasis import RankedBasis, binom
+from .fockbasis import RankedBasis, binom, colex_masks
+from .report import FMT17, read_text, records, write_text
 from .statekit import (MixedStateN, PureStateN, as_mixture, ginibre_density,
                        seeded_rng)
-
-_FMT = "{:.17g}"
 
 UNIT = "unit"
 PHYSICS = "physics"
@@ -49,7 +48,6 @@ class ReducedDM:
     matrix: np.ndarray
     normalization: str = UNIT
     n_particles: int | None = None  # N of the source state, if known
-    source: str = ""
 
 
 @dataclass
@@ -66,7 +64,6 @@ class TensorDM:
     local_dim: int
     matrix: np.ndarray | None
     factors: tuple[np.ndarray, np.ndarray] | None = None
-    source: str = ""
 
     @property
     def dim(self) -> int:
@@ -84,17 +81,6 @@ class TensorDM:
 _BLOCK = 256
 
 
-def _colex_masks(M: int, j: int) -> np.ndarray:
-    """Bitmasks of all j-subsets of M modes in colex order ([0] for j = 0)."""
-    masks = np.zeros(1, dtype=np.uint64)
-    for t in range(j):
-        # the (t+1)-subsets whose top mode is c: the t-subsets of modes < c
-        # (a colex prefix of length C(c, t)) with bit c added
-        masks = np.concatenate([masks[:binom(c, t)] | np.uint64(1 << c)
-                                for c in range(t, M)])
-    return masks
-
-
 @lru_cache(maxsize=None)
 def _gather_table(M: int, N: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Index/sign table of the k-particle reduction on RankedBasis(M, N).
@@ -103,11 +89,10 @@ def _gather_table(M: int, N: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     both in colex order. idx[I, K] is the rank of I | K in RankedBasis(M, N)
     and sgn[I, K] is merge_sign(I, K); where I and K overlap, sgn is 0.
     """
-    rows = _colex_masks(M, k)
-    cols = _colex_masks(M, N - k)
+    rows = colex_masks(M, k)
+    cols = colex_masks(M, N - k)
+    members = colex_masks(M, N)         # ascending, so sorted search ranks
     modes = np.arange(M, dtype=np.uint64)
-    pascal = np.array([[binom(n, t) for t in range(N + 2)] for n in range(M)],
-                      dtype=np.int64)
     row_bits = ((rows[:, None] >> modes) & np.uint64(1)).astype(np.int32)
     # above[I, m]: modes of I above m, so merge_sign(I, K) is the parity of
     # the sum over m in K of above[I, m]
@@ -116,14 +101,7 @@ def _gather_table(M: int, N: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     sgn = np.zeros((rows.size, cols.size), dtype=np.int8)
     for c0 in range(0, cols.size, _BLOCK):
         K = cols[c0:c0 + _BLOCK]
-        union = rows[:, None] | K
-        # colex rank sum_t C(s_t, t+1), scanned over the modes
-        ranks = np.zeros(union.shape, dtype=np.int64)
-        seen = np.zeros(union.shape, dtype=np.int64)
-        for m in range(M):
-            bit = ((union >> modes[m]) & np.uint64(1)).astype(np.int64)
-            ranks += bit * pascal[m, seen + 1]
-            seen += bit
+        ranks = np.searchsorted(members, rows[:, None] | K)
         col_bits = ((K[:, None] >> modes) & np.uint64(1)).astype(np.int32)
         parity = (above @ col_bits.T) & 1
         disjoint = (rows[:, None] & K) == 0
@@ -167,7 +145,7 @@ def reduce_mixed(state: MixedStateN | PureStateN, k: int) -> ReducedDM:
     amps = np.stack([math.sqrt(w) * st.amplitudes for w, st in mix.terms])
     rho = reduce_amplitudes(amps, M, N, k)
     return ReducedDM(k=k, basis=RankedBasis(M, k), matrix=rho, normalization=UNIT,
-                     n_particles=N, source=f"reduce_mixed(M={M},N={N},k={k})")
+                     n_particles=N)
 
 
 def ptrace_rdm(r: ReducedDM, k_out: int) -> ReducedDM:
@@ -189,8 +167,7 @@ def ptrace_rdm(r: ReducedDM, k_out: int) -> ReducedDM:
         out += np.einsum("ax,bx,abx->ab", s, s, r.matrix[i[:, None], i[None, :]])
     out /= binom(r.k, k_out)
     return ReducedDM(k=k_out, basis=RankedBasis(M, k_out), matrix=out,
-                     normalization=UNIT, n_particles=r.n_particles,
-                     source=f"ptrace_rdm<-{r.source}")
+                     normalization=UNIT, n_particles=r.n_particles)
 
 
 def rescale(r: ReducedDM, target: str, tol: Tolerances = TOL) -> ReducedDM:
@@ -198,8 +175,7 @@ def rescale(r: ReducedDM, target: str, tol: Tolerances = TOL) -> ReducedDM:
     if target not in (UNIT, PHYSICS):
         raise NormalizationError(f"unknown normalization tag {target!r}")
     if target == r.normalization:
-        return ReducedDM(r.k, r.basis, r.matrix.copy(), r.normalization,
-                         r.n_particles, r.source)
+        return ReducedDM(r.k, r.basis, r.matrix.copy(), r.normalization, r.n_particles)
     if r.n_particles is None:
         raise NormalizationError(
             "particle count unknown; cannot rescale (load a physics-tagged file "
@@ -210,8 +186,7 @@ def rescale(r: ReducedDM, target: str, tol: Tolerances = TOL) -> ReducedDM:
     have = phys if r.normalization == PHYSICS else 1.0
     if abs(cur - have) > tol.trace_match * max(have, 1.0):
         raise NormalizationError(f"trace {cur!r} inconsistent with tag {r.normalization!r}")
-    return ReducedDM(r.k, r.basis, r.matrix * (want / have), target,
-                     r.n_particles, r.source)
+    return ReducedDM(r.k, r.basis, r.matrix * (want / have), target, r.n_particles)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +200,7 @@ def _antisym_table(M: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     ascending modes of wedge ket `col` (colex order), and sgn[p] is the sign
     of permutation p; |col> maps to sum_p sgn[p] |pos[col, p]> / sqrt(k!).
     """
-    masks = _colex_masks(M, k)
+    masks = colex_masks(M, k)
     bits = (masks[:, None] >> np.arange(M, dtype=np.uint64)) & np.uint64(1)
     modes = np.nonzero(bits)[1].reshape(masks.size, k)     # ascending per row
     perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64)
@@ -253,7 +228,7 @@ def embed_wedge_to_tensor(r: ReducedDM, cap: Capacities = CAP) -> TensorDM:
         raise CapacityError(f"tensor dimension {M * M} exceeds capacity {cap.tensor_dim}")
     W = _wedge_isometry(M, 2)
     T = W @ r.matrix @ W.conj().T
-    return TensorDM(parties=2, local_dim=M, matrix=T, source=f"embed<-{r.source}")
+    return TensorDM(parties=2, local_dim=M, matrix=T)
 
 
 def project_antisymmetric(t: TensorDM) -> TensorDM:
@@ -267,15 +242,13 @@ def project_antisymmetric(t: TensorDM) -> TensorDM:
     d = t.local_dim
     swap = np.eye(d * d)[np.arange(d * d).reshape(d, d).T.reshape(-1)]
     P = 0.5 * (np.eye(d * d) - swap)
-    return TensorDM(parties=2, local_dim=t.local_dim,
-                    matrix=P @ t.dense() @ P, source=f"antisym<-{t.source}")
+    return TensorDM(parties=2, local_dim=t.local_dim, matrix=P @ t.dense() @ P)
 
 
 def random_two_party_dm(local_dim: int, rank: int, seed: int) -> TensorDM:
     """Seeded random two-party density matrix: normalized Ginibre of given rank."""
     rho = ginibre_density(seeded_rng(seed), local_dim * local_dim, rank)
-    return TensorDM(parties=2, local_dim=local_dim, matrix=rho,
-                    source=f"random(d={local_dim},rank={rank},seed={seed})")
+    return TensorDM(parties=2, local_dim=local_dim, matrix=rho)
 
 
 def tensor_ptrace(t: TensorDM, keep: tuple[int, ...]) -> np.ndarray:
@@ -319,8 +292,7 @@ def embed_state_full(state: PureStateN | MixedStateN) -> TensorDM:
     vecs = np.stack([full_tensor_vector(st) for _, st in mix.terms], axis=1)
     dim = M ** N
     dense = (vecs * weights) @ vecs.conj().T if dim <= CAP.tensor_dim else None
-    return TensorDM(parties=N, local_dim=M, matrix=dense,
-                    factors=(weights, vecs), source=f"embed_full(M={M},N={N})")
+    return TensorDM(parties=N, local_dim=M, matrix=dense, factors=(weights, vecs))
 
 
 def brute_force_reduce(state: PureStateN, k: int) -> ReducedDM:
@@ -337,69 +309,57 @@ def brute_force_reduce(state: PureStateN, k: int) -> ReducedDM:
     Y = W.conj().T @ block
     rho = Y @ Y.conj().T
     return ReducedDM(k=k, basis=RankedBasis(M, k), matrix=rho, normalization=UNIT,
-                     n_particles=N, source=f"brute_force(M={M},N={N},k={k})")
+                     n_particles=N)
 
 
 # ---------------------------------------------------------------------------
 # fermirdm text format
 
-MAX_N_SEARCH = 64
-
-
 def dumps_rdm(r: ReducedDM) -> str:
     """`fermirdm M k normtag` header, then one matrix row per line as re im pairs."""
-    lines = [f"fermirdm {r.basis.n_modes} {r.k} {r.normalization}"]
-    for row in r.matrix:
-        parts = []
-        for z in row:
-            parts.append(_FMT.format(z.real))
-            parts.append(_FMT.format(z.imag))
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+    row_fmt = " ".join([FMT17] * (2 * r.matrix.shape[1]))
+    rows = [row_fmt % tuple(np.column_stack((row.real, row.imag)).ravel().tolist())
+            for row in r.matrix]
+    return "\n".join([f"fermirdm {r.basis.n_modes} {r.k} {r.normalization}"] + rows) + "\n"
 
 
 def loads_rdm(text: str) -> ReducedDM:
-    # `#` lines are comments (carriers of tool metadata), skipped on load
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines or not lines[0].startswith("fermirdm"):
-        raise ShapeError("not a fermirdm file (missing header)")
+    rows = list(records(text, "fermirdm"))
+    header = rows[0]
     try:
-        _, m_s, k_s, tag = lines[0].split()
+        _, m_s, k_s, tag = header
         M, k = int(m_s), int(k_s)
     except ValueError as exc:
-        raise ShapeError(f"malformed fermirdm header: {lines[0]!r}") from exc
+        raise ShapeError(f"malformed fermirdm header: {' '.join(header)!r}") from exc
     if tag not in (UNIT, PHYSICS):
         raise NormalizationError(f"unknown normalization tag {tag!r}")
     basis = RankedBasis(M, k)
     D = basis.dim
-    if len(lines) - 1 != D:
-        raise ShapeError(f"expected {D} matrix rows, found {len(lines) - 1}")
+    # count the rows before allocating, so a header alone cannot ask for D x D
+    if len(rows) - 1 != D:
+        raise ShapeError(f"expected {D} matrix rows, found {len(rows) - 1}")
     mat = np.zeros((D, D), dtype=complex)
-    for i, ln in enumerate(lines[1:]):
+    for i, fields in enumerate(rows[1:]):
         try:
-            vals = [float(x) for x in ln.split()]
+            vals = [float(x) for x in fields]
         except ValueError as exc:
-            raise ShapeError(f"row {i} has a non-numeric entry: {ln!r}") from exc
+            raise ShapeError(f"row {i} has a non-numeric entry: {' '.join(fields)!r}") from exc
         if len(vals) != 2 * D:
             raise ShapeError(f"row {i} has {len(vals)} numbers, expected {2 * D}")
         mat[i] = np.asarray(vals[0::2]) + 1j * np.asarray(vals[1::2])
     n_particles = None
     if tag == PHYSICS:
-        # physics trace is C(N, k); recover N by exact search
+        # physics trace is C(N, k) with k <= N <= M; recover N by exact search
         tr = float(np.trace(mat).real)
-        for n_try in range(k, MAX_N_SEARCH + 1):
-            if abs(tr - binom(n_try, k)) < 1e-6:
-                n_particles = n_try
-                break
+        n_particles = next((n for n in range(k, M + 1)
+                            if abs(tr - binom(n, k)) < 1e-6), None)
     return ReducedDM(k=k, basis=basis, matrix=mat, normalization=tag,
-                     n_particles=n_particles, source="loads_rdm")
+                     n_particles=n_particles)
 
 
 def save_rdm(r: ReducedDM, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps_rdm(r))
+    write_text(path, dumps_rdm(r))
 
 
 def load_rdm(path) -> ReducedDM:
-    with open(path, "r", encoding="ascii") as fh:
-        return loads_rdm(fh.read())
+    return loads_rdm(read_text(path))

@@ -1,15 +1,20 @@
-"""Bound reports and their serialization.
-
-Reports serialize to JSON lines with every real number written as decimal
-with 17 significant digits, which round-trips doubles exactly.
+"""Bound reports and the text encoding: the one file reader and writer, the
+record rule of the fermistate/fermirdm formats, 17-digit numbers (an exact
+double round trip) and JSON escaped to ASCII.
 """
 
 from __future__ import annotations
 
+import itertools
+import json
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .config import TOL, Tolerances
+from .errors import ShapeError
+
+FMT17 = "%.17g"   # 17 significant digits: an exact decimal round trip for doubles
 
 
 @dataclass
@@ -49,7 +54,7 @@ def fmt17(x: float) -> str:
         return "NaN"
     if math.isinf(x):
         return "Infinity" if x > 0 else "-Infinity"
-    return format(float(x), ".17g")
+    return FMT17 % float(x)
 
 
 def _json_scalar(v) -> str:
@@ -62,8 +67,7 @@ def _json_scalar(v) -> str:
         return str(v)
     if v is None:
         return "null"
-    s = str(v).replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{s}"'
+    return json.dumps(str(v))
 
 
 def json_value(v) -> str:
@@ -79,3 +83,33 @@ def json_value(v) -> str:
 def report_json_line(r: BoundReport) -> str:
     return json_value({"name": r.name, "lhs": r.lhs, "rhs": r.rhs,
                        "slack": r.slack, "holds": r.holds, "context": r.context})
+
+
+def read_text(path) -> str:
+    """The text of an ASCII file; any other byte is a ShapeError that names
+    the file and the byte's offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ShapeError(f"{path}: non-ASCII byte at offset {exc.start}") from None
+
+
+def write_text(path, text: str) -> None:
+    """Write `text` to `path` as UTF-8: fermistate, fermirdm and JSON text is
+    ASCII already, and a CSV cell may hold a non-ASCII input path."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def records(text: str, magic: str | None = None) -> Iterator[list[str]]:
+    """Lazily, the fields of each line that is neither blank nor a `#`
+    comment; with `magic`, the first field must be exactly `magic`."""
+    recs = (f for f in map(str.split, text.splitlines()) if f and not f[0].startswith("#"))
+    if magic is None:
+        return recs
+    head = next(recs, None)
+    if head is None or head[0] != magic:
+        raise ShapeError(f"not a {magic} file (missing header)")
+    return itertools.chain([head], recs)

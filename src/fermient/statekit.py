@@ -16,9 +16,9 @@ import numpy as np
 from .config import CAP
 from .errors import (CapacityError, InvalidModeSetError, NormalizationError,
                      ShapeError)
-from .fockbasis import RankedBasis, binom, modeset, rank
-
-_FMT = "{:.17g}"  # exact decimal round trip for doubles
+from .fockbasis import (RankedBasis, binom, colex_masks, modeset, rank,
+                        spread_bits)
+from .report import FMT17, read_text, records, write_text
 
 
 @dataclass
@@ -69,6 +69,7 @@ def _guard_dim(basis: RankedBasis) -> None:
 def slater_state(basis: RankedBasis, occupied: Iterable[int] | int) -> PureStateN:
     """Single determinant with the given occupied modes."""
     bits = occupied if isinstance(occupied, int) else modeset(occupied)
+    _guard_dim(basis)
     amps = np.zeros(basis.dim, dtype=complex)
     amps[rank(basis, bits)] = 1.0
     return PureStateN(basis, amps)
@@ -84,16 +85,10 @@ def yang_state(params: YangParams) -> PureStateN:
     m, n = params.m, params.n
     basis = RankedBasis(2 * m, 2 * n)
     _guard_dim(basis)
-    pairs = RankedBasis(m, n)
-    amp = 1.0 / math.sqrt(binom(m, n))
+    # bit j-1 of a choice of n pairs selects pair j
+    bits = spread_bits(colex_masks(m, n), [pair_modes(j) for j in range(1, m + 1)])
     amps = np.zeros(basis.dim, dtype=complex)
-    for choice in pairs:  # bit j-1 of `choice` selects pair j
-        bits = 0
-        while choice:
-            low = choice & -choice
-            bits |= pair_modes(low.bit_length())
-            choice ^= low
-        amps[rank(basis, bits)] = amp
+    amps[np.searchsorted(colex_masks(2 * m, 2 * n), bits)] = 1.0 / math.sqrt(binom(m, n))
     return PureStateN(basis, amps)
 
 
@@ -163,36 +158,32 @@ def wedge_density(state: PureStateN | MixedStateN) -> np.ndarray:
 
 def dumps_state(state: PureStateN) -> str:
     """fermistate text format: header `fermistate M N`, then `index re im` rows."""
-    lines = [f"fermistate {state.basis.n_modes} {state.basis.n_particles}"]
-    for idx in np.flatnonzero(state.amplitudes):
-        a = state.amplitudes[idx]
-        lines.append(f"{int(idx)} {_FMT.format(a.real)} {_FMT.format(a.imag)}")
-    return "\n".join(lines) + "\n"
+    a = state.amplitudes
+    rows = [f"%d {FMT17} {FMT17}" % (i, a[i].real, a[i].imag) for i in np.flatnonzero(a)]
+    return "\n".join([f"fermistate {state.basis.n_modes} {state.basis.n_particles}"]
+                     + rows) + "\n"
 
 
 def loads_state(text: str) -> PureStateN:
-    # `#` lines are comments (carriers of tool metadata), skipped on load
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines or not lines[0].startswith("fermistate"):
-        raise ShapeError("not a fermistate file (missing header)")
+    recs = records(text, "fermistate")
+    header = next(recs)
     try:
-        _, m_s, n_s = lines[0].split()
+        _, m_s, n_s = header
         basis = RankedBasis(int(m_s), int(n_s))
     except ValueError as exc:
-        raise ShapeError(f"malformed fermistate header: {lines[0]!r}") from exc
-    amps = np.zeros(basis.dim, dtype=complex)
+        raise ShapeError(f"malformed fermistate header: {' '.join(header)!r}") from exc
+    _guard_dim(basis)
+    dim = basis.dim
+    amps = np.zeros(dim, dtype=complex)
     seen = set()
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ShapeError(f"malformed fermistate row: {ln!r}")
+    for fields in recs:
         try:
-            idx = int(parts[0])
-            value = float(parts[1]) + 1j * float(parts[2])
+            idx_s, re_s, im_s = fields
+            idx, value = int(idx_s), float(re_s) + 1j * float(im_s)
         except ValueError as exc:
-            raise ShapeError(f"malformed fermistate row: {ln!r}") from exc
-        if not 0 <= idx < basis.dim:
-            raise ShapeError(f"amplitude index {idx} outside basis of dim {basis.dim}")
+            raise ShapeError(f"malformed fermistate row: {' '.join(fields)!r}") from exc
+        if not 0 <= idx < dim:
+            raise ShapeError(f"amplitude index {idx} outside basis of dim {dim}")
         if idx in seen:
             raise ShapeError(f"amplitude index {idx} appears twice")
         seen.add(idx)
@@ -201,10 +192,8 @@ def loads_state(text: str) -> PureStateN:
 
 
 def save_state(state: PureStateN, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps_state(state))
+    write_text(path, dumps_state(state))
 
 
 def load_state(path) -> PureStateN:
-    with open(path, "r", encoding="ascii") as fh:
-        return loads_state(fh.read())
+    return loads_state(read_text(path))

@@ -102,8 +102,7 @@ def subadd(run: SuiteRun) -> list[BoundReport]:
         rng = statekit.seeded_rng(seed, 7, d)
         r1 = statekit.ginibre_density(rng, d, d)
         r2 = statekit.ginibre_density(rng, d, d)
-        t = rdmcore.TensorDM(parties=2, local_dim=d, matrix=hermlin.kron(r1, r2),
-                             source=f"product-d{d}")
+        t = rdmcore.TensorDM(parties=2, local_dim=d, matrix=hermlin.kron(r1, r2))
         rep = entmeasures.subadd_remainder(t, tol=tol)
         rep.context["case"] = f"product-d{d}"
         rep.context["equality"] = bool(abs(rep.slack) <= CLOSED_FORM_MATCH)
@@ -167,7 +166,7 @@ def squash(run: SuiteRun) -> list[BoundReport]:
         d = 2 + (i % 2)
         q = 1 + (i % 3)
         rho = statekit.ginibre_density(statekit.seeded_rng(run.seed, 13, i), d ** 3, q)
-        t = rdmcore.TensorDM(parties=3, local_dim=d, matrix=rho, source=f"tri-{i}")
+        t = rdmcore.TensorDM(parties=3, local_dim=d, matrix=rho)
         val = entmeasures.squashed_extension_value(
             entmeasures.extension_spec_from_tripartite(t, tol))
         out.append(report.bound_report("squash/nonneg", val, 0.0, ">=", tol,

@@ -383,3 +383,72 @@ def test_tracer_sees_every_layer_call(monkeypatch, capsys):
     names = {span[3] for span in tracer.spans}
     assert {"entmeasures.ef_optimize", "hermlin.eig_herm",
             "rdmcore.reduce_mixed"} <= names
+
+
+def test_non_ascii_and_misheaded_state_files_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.fermistate"
+    bad.write_bytes(b"fermistate 4 2\n# caf\xc3\xa9\n0 1 0\n")
+    foo = _write_yang(tmp_path, 2, 1, "foo.fermistate")
+    foo.write_text(foo.read_text().replace("fermistate 4 2", "fermistatefoo 4 2"))
+    for argv in (["entropy", str(bad)], ["rdm", str(bad), "--k", "1"],
+                 ["verify", "mutual", "--random", "0", "--states", str(bad)],
+                 ["entropy", str(foo)],
+                 ["verify", "mutual", "--random", "0", "--states", str(foo)]):
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("fermient: error: ")
+
+
+@pytest.mark.parametrize("name", ["ta\tb.fermistate", "café.fermistate"])
+def test_unusual_paths_give_valid_json_lines(tmp_path, capsys, name):
+    p = _write_yang(tmp_path, 2, 1, name)
+    assert load_state(p).basis.dim == 6
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "mutual", "--random", "0", "--states", str(p),
+                     "--out", str(out)]) == 0
+    lines = _json_lines(out.read_text(encoding="utf-8"))
+    assert lines[0]["meta"]["config"]["states"] == [str(p)]
+    assert f"user-0-{p}" in {ln["context"]["state"] for ln in lines[1:]}
+    capsys.readouterr()
+
+
+def test_oversized_bases_exit_3(tmp_path, capsys):
+    occ = ",".join(str(i) for i in range(32))
+    assert cli.main(["state", "slater", "--M", "64", "--occ", occ]) == 3
+    big = tmp_path / "big.fermistate"
+    big.write_text("fermistate 64 32\n0 1 0\n")
+    assert cli.main(["entropy", str(big)]) == 3
+    assert capsys.readouterr().err.count("fermient: capacity: ") == 2
+
+
+@pytest.mark.parametrize("header", ["fermirdm 64 32 unit", "fermirdm 20 10 unit",
+                                    "fermirdm 16 8 unit"])
+def test_rdm_header_without_rows_exits_2(tmp_path, capsys, header):
+    p = tmp_path / "short.fermirdm"
+    p.write_text(header + "\n")
+    assert cli.main(["entropy", str(p)]) == 2
+    assert "matrix rows, found 0" in capsys.readouterr().err
+
+
+def test_physics_rdm_with_impossible_trace_exits_2(tmp_path, capsys):
+    zeros = " 0 0" * 3 + "\n"
+    p = tmp_path / "t10.fermirdm"
+    p.write_text("fermirdm 4 1 physics\n10 0" + zeros + ("0 0" + zeros) * 3)
+    assert cli.main(["entropy", str(p)]) == 2
+    assert "particle count unknown" in capsys.readouterr().err
+
+
+def test_state_chi_and_sweeps_run(capsys):
+    assert cli.main(["state", "chi", "--m", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert np.count_nonzero(loads_state(out).amplitudes) == 3
+    assert "fermistate M=6 N=2 dim=15 support=3" in err
+    assert cli.main(["sweep", "yang-spectrum", "--m", "2..3"]) == 0
+    rows = _json_lines(capsys.readouterr().out)[1:]
+    assert len(rows) == 5 and all(r["max_spectrum_diff"] < 1e-12 for r in rows)
+    assert cli.main(["sweep", "mutual-slack", "--random", "1", "--M-range", "4..5"]) == 0
+    rows = _json_lines(capsys.readouterr().out)[1:]
+    assert len(rows) == 14 and all(r["holds"] == "true" for r in rows)
+    assert cli.main(["sweep", "ef", "--restarts", "1", "--max-iters", "2"]) == 0
+    rows = _json_lines(capsys.readouterr().out)[1:]
+    assert [r["case"] for r in rows] == ["slater-proj-M4", "mix2-M4", "mix3-M6"]
+    assert all(r["excess"] > -1e-4 for r in rows)

@@ -12,6 +12,7 @@ from fermient import (
     RangeError,
     RankedBasis,
     binom,
+    colex_masks,
     enumerate_supersets,
     merge_sign,
     modes_of,
@@ -168,3 +169,24 @@ def test_enumerate_supersets_edges():
         enumerate_supersets(basis, modeset([0, 1]), 4)
     with pytest.raises(InvalidModeSetError):
         enumerate_supersets(basis, 1 << 5, 1)
+
+
+@pytest.mark.parametrize("M", range(1, 10))
+def test_colex_masks_are_ascending_and_sorted_search_ranks(M):
+    for N in range(1, M + 1):
+        basis = RankedBasis(M, N)
+        masks = colex_masks(M, N)
+        assert masks.tolist() == [unrank(basis, r) for r in range(basis.dim)]
+        assert (np.diff(masks.astype(np.int64)) > 0).all()
+        assert np.searchsorted(masks, masks[::-1]).tolist() == list(range(basis.dim))[::-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_enumerate_supersets_matches_scalar_relabeling(M, data):
+    fixed = data.draw(st.integers(0, (1 << M) - 1))
+    free = [m for m in range(M) if not (fixed >> m) & 1]
+    extra = data.draw(st.integers(0, len(free)))
+    want = [sum(1 << free[i] for i in c) for c in itertools.combinations(range(len(free)), extra)]
+    want.sort(key=lambda s: tuple(reversed(modes_of(s))))    # colex order
+    assert enumerate_supersets(RankedBasis(M, 1), fixed, extra) == want

@@ -320,3 +320,20 @@ def test_ptrace_skips_several_particles(M, N, k, k_out):
     st = random_pure_state(RankedBasis(M, N), seed=M + N + k)
     via = ptrace_rdm(reduce_pure(st, k), k_out).matrix
     np.testing.assert_allclose(via, reduce_pure(st, k_out).matrix, atol=1e-13)
+
+
+def test_fermirdm_magic_word_is_exact(tmp_path):
+    good = dumps_rdm(reduce_pure(slater_state(RankedBasis(4, 2), (0, 1)), 1))
+    p = tmp_path / "x.fermirdm"
+    p.write_text(good.replace("fermirdm", "fermirdmx", 1))
+    with pytest.raises(ShapeError, match="not a fermirdm file"):
+        load_rdm(p)
+
+
+def test_fermirdm_physics_count_is_searched_up_to_the_modes():
+    # trace 10 = C(10, 1) would need 10 particles on 4 modes
+    zeros = " 0 0" * 3 + "\n"
+    r = loads_rdm("fermirdm 4 1 physics\n10 0" + zeros + ("0 0" + zeros) * 3)
+    assert r.n_particles is None
+    with pytest.raises(NormalizationError, match="particle count unknown"):
+        rescale(r, UNIT)

@@ -49,3 +49,13 @@ def test_square_roots_outside_hermlin_are_checked():
              and "sqrt_from_spectrum" in (getattr(node.func, "attr", None),
                                           getattr(node.func, "id", None))]
     assert sites and all(site.startswith("hermlin.py:") for site in sites), sites
+
+
+def test_files_are_opened_only_in_report():
+    # report.read_text and report.write_text are the one reader and writer
+    sites = [f"{name}:{node.lineno}" for name, tree in _trees().items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and "open" in (getattr(node.func, "attr", None),
+                            getattr(node.func, "id", None))]
+    assert sites and all(site.startswith("report.py:") for site in sites), sites

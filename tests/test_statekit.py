@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -179,3 +180,34 @@ def test_pure_state_rejects_non_finite(bad):
         PureStateN(RankedBasis(4, 2), amps)
     with pytest.raises(NormalizationError):
         loads_state("fermistate 4 2\n0 1 0\n1 nan 0\n")
+
+
+@pytest.mark.parametrize("text", ["fermistatefoo 4 2\n0 1 0\n", "\n# note\n"])
+def test_fermistate_magic_word_is_exact(tmp_path, text):
+    p = tmp_path / "state.fermistate"
+    p.write_text(text)
+    with pytest.raises(ShapeError, match="not a fermistate file"):
+        load_state(p)
+
+
+def test_fermistate_non_ascii_byte_names_file_and_offset(tmp_path):
+    p = tmp_path / "state.fermistate"
+    p.write_bytes(b"fermistate 4 2\n# caf\xc3\xa9\n0 1 0\n")
+    with pytest.raises(ShapeError, match=r"state\.fermistate: non-ASCII byte at offset 20"):
+        load_state(p)
+
+
+def test_oversized_bases_are_refused_before_allocation():
+    with pytest.raises(CapacityError):
+        slater_state(RankedBasis(64, 32), range(32))
+    with pytest.raises(CapacityError):
+        loads_state("fermistate 30 15\n0 1 0\n")
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_yang_state_matches_scalar_ranks(m):
+    for n in range(1, m + 1):
+        st = yang_state(YangParams(m, n))
+        want = sorted(rank(st.basis, sum(pair_modes(j) for j in pairs))
+                      for pairs in itertools.combinations(range(1, m + 1), n))
+        assert np.flatnonzero(st.amplitudes).tolist() == want
