@@ -1,16 +1,22 @@
 """Command-line harness: state construction, reduction, sweeps, and `verify`,
 which runs the bound suites of `suites` listed in _SUITES.
 
+One parser serves the process; `main` resolves --tol once and hands the
+record to the command. A command takes only the options it reads: --seed on
+`state`, `verify` and `sweep`; --format on `entropy`, `yang`, `sweep` (json,
+csv) and `verify` (json, csv, text).
+
 Output contract:
   * every run embeds its resolved configuration (and tolerance set) in the
     output; wall-clock stamps are opt-in (--stamp) so that identical
     invocations stay byte-identical;
-  * reports stream as JSON lines (--format json, default), CSV with
-    `#`-prefixed metadata, or an aligned text table;
+  * tables and reports go through one emitter: JSON lines (--format json,
+    default), or CSV under `#`-prefixed metadata; `verify` also writes an
+    aligned text table;
   * exit codes: 0 success / all bounds hold, 1 bound violation,
     2 usage, configuration or input error (malformed ranges or mode lists,
-    negative tolerances or --random counts, fewer than one E_f restart or
-    --jobs worker, malformed or non-ASCII input files), 3 capacity guard,
+    negative tolerances or --random counts, fewer than one E_f restart, sweep
+    or --jobs worker, malformed or non-ASCII input files), 3 capacity guard,
     4 numerical failure (a result failed its accuracy check) or any other
     crash, so that a crash never reads as a violated bound.
 """
@@ -20,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import math
 import sys
@@ -36,8 +43,8 @@ from .fockbasis import RankedBasis, binom
 from .hermlin import eig_herm
 from .rdmcore import (PHYSICS, UNIT, ReducedDM, dumps_rdm, embed_wedge_to_tensor,
                       loads_rdm, ptrace_rdm, reduce_mixed, rescale)
-from .report import (BoundReport, fmt17, json_value, read_text, records,
-                     report_json_line, write_text)
+from .report import (REPORT_COLUMNS, fmt17, json_value, read_text, records,
+                     report_row, write_text)
 from .statekit import (YangParams, chi_pair_vector, convex_mixture, dumps_state,
                        loads_state, random_pure_state, slater_state, yang_state)
 
@@ -94,7 +101,7 @@ def _meta_obj(args, tol: Tolerances) -> dict:
     config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     meta = {"tool": "fermient", "version": __version__,
             "config": config, "tolerances": tolerances_dict(tol)}
-    if getattr(args, "stamp", False):
+    if args.stamp:
         meta["generated"] = datetime.now(timezone.utc).isoformat()
     return meta
 
@@ -112,40 +119,29 @@ def _write(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _csv_lines(rows) -> list[str]:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue().splitlines()
+def _csv_cell(v):
+    """The one CSV cell rule: 17-digit floats; booleans, dicts and lists as JSON."""
+    if isinstance(v, float):
+        return fmt17(v)
+    return json_value(v) if isinstance(v, (bool, dict, list)) else v
 
 
-def _emit_reports(reports: list[BoundReport], args, tol: Tolerances) -> None:
-    meta = _meta_obj(args, tol)
-    if args.format == "json":
-        lines = [json_value({"meta": meta})] + [report_json_line(r) for r in reports]
-    elif args.format == "csv":
-        lines = _header(meta) + _csv_lines(
-            [["name", "lhs", "rhs", "slack", "holds", "context"]]
-            + [[r.name, fmt17(r.lhs), fmt17(r.rhs), fmt17(r.slack),
-                str(r.holds).lower(), json_value(r.context)] for r in reports])
-    else:
-        lines = _header(meta)[:1]   # text tables carry only the version line
-        width = max((len(r.name) for r in reports), default=4)
-        for r in reports:
-            state = "HOLDS" if r.holds else "VIOLATED"
-            lines.append(f"{r.name:<{width}}  lhs={r.lhs:{_TEXT_NUM}}  "
-                         f"rhs={r.rhs:{_TEXT_NUM}}  slack={r.slack:{_TEXT_NUM}}  {state}")
-    _write("\n".join(lines) + "\n", args.out)
-
-
-def _emit_table(columns: list[str], rows: list[list], args, tol: Tolerances) -> None:
+def _emit_table(columns, rows: list[list], args, tol: Tolerances) -> None:
     meta = _meta_obj(args, tol)
     if args.format == "json":
         lines = [json_value({"meta": meta})] + [
             json_value(dict(zip(columns, row))) for row in rows]
-    else:
-        lines = _header(meta) + ["# columns: " + ",".join(columns)] + _csv_lines(
-            [columns] + [[fmt17(v) if isinstance(v, float) else v for v in row]
-                         for row in rows])
+    elif args.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [_csv_cell(v) for v in row] for row in [columns, *rows])
+        lines = _header(meta) + [buf.getvalue().removesuffix("\n")]
+    else:   # text, a `verify` format only: the rows are reports
+        lines = _header(meta)[:1]   # text tables carry only the version line
+        width = max((len(row[0]) for row in rows), default=4)
+        for name, lhs, rhs, slack, holds, _ in rows:
+            lines.append(f"{name:<{width}}  lhs={lhs:{_TEXT_NUM}}  rhs={rhs:{_TEXT_NUM}}  "
+                         f"slack={slack:{_TEXT_NUM}}  {'HOLDS' if holds else 'VIOLATED'}")
     _write("\n".join(lines) + "\n", args.out)
 
 
@@ -160,8 +156,7 @@ def _emit_file(body: str, summary: str, args, tol: Tolerances) -> None:
 # ---------------------------------------------------------------------------
 # state / rdm / entropy / yang commands
 
-def cmd_state(args) -> int:
-    tol = _resolve_tol(args.tol)
+def cmd_state(args, tol: Tolerances) -> int:
     if args.kind == "slater":
         if args.M is None or args.occ is None:
             raise FermientError("state slater needs --M and --occ")
@@ -206,8 +201,7 @@ def _unit_rdm(path: str, k: int | None, tol: Tolerances) -> ReducedDM | None:
     return ptrace_rdm(r, k)
 
 
-def cmd_rdm(args) -> int:
-    tol = _resolve_tol(args.tol)
+def cmd_rdm(args, tol: Tolerances) -> int:
     r = _unit_rdm(args.input, args.k, tol)
     spec = eig_herm(r.matrix, vectors=False, tol=tol)
     entropy = vn_entropy(spec, tol)
@@ -225,8 +219,7 @@ def cmd_rdm(args) -> int:
     return 0
 
 
-def cmd_entropy(args) -> int:
-    tol = _resolve_tol(args.tol)
+def cmd_entropy(args, tol: Tolerances) -> int:
     r = _unit_rdm(args.input, args.k, tol)
     if r is None:
         kind, s, pur = "pure-state", 0.0, 1.0
@@ -243,8 +236,7 @@ def cmd_entropy(args) -> int:
     return 0
 
 
-def cmd_yang(args) -> int:
-    tol = _resolve_tol(args.tol)
+def cmd_yang(args, tol: Tolerances) -> int:
     ana = yang_analytics(YangParams(args.m, args.n))
     scale = LN2 if args.bits else 1.0
     row = {
@@ -284,20 +276,20 @@ def _task_runner(spec):
     return _SUITES[name](run=run)
 
 
-def cmd_verify(args) -> int:
-    tol = _resolve_tol(args.tol)
+def cmd_verify(args, tol: Tolerances) -> int:
     run = suites.SuiteRun(
         seed=args.seed, n_random=args.random, M=args.M, N=args.N,
-        states=tuple(args.states or ()), tol=tol,
+        states=tuple(args.states), tol=tol,
         ef=EfOptions(ensemble_size=args.ensemble, restarts=args.restarts,
                      seed=args.seed, max_iters=args.max_iters))
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     specs = [(name, run) for name in names]
-    if args.jobs > 1:
+    workers = min(args.jobs, len(specs))    # a pool starts every worker it is given
+    if workers > 1:
         # imported here: the process pool's modules add ~2 MB to the resident
         # size of every serial run
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as ex:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_task_runner, specs))
     else:
         results = [_task_runner(s) for s in specs]
@@ -307,7 +299,7 @@ def cmd_verify(args) -> int:
                           in (("M", args.M), ("N", args.N)) if value is not None)
         raise FermientError(f"verify {args.suite}: no state matches "
                             f"{picked or 'the selection'}; nothing was checked")
-    _emit_reports(reports, args, tol)
+    _emit_table(REPORT_COLUMNS, [report_row(r) for r in reports], args, tol)
     return 0 if all(r.holds for r in reports) else 1
 
 
@@ -317,7 +309,7 @@ def cmd_verify(args) -> int:
 def _sweep_s2(args, tol) -> tuple[list[str], list[list]]:
     rows = []
     for N in _parse_range(args.N or "2..6"):
-        M = args.M if args.M else N
+        M = N if args.M is None else args.M
         st = slater_state(RankedBasis(M, N), range(N))
         s2 = vn_entropy(reduce_mixed(st, 2), tol)
         ana = math.log(binom(N, 2))
@@ -327,7 +319,7 @@ def _sweep_s2(args, tol) -> tuple[list[str], list[list]]:
 
 def _sweep_yang_spectrum(args, tol) -> tuple[list[str], list[list]]:
     rows = []
-    for m in _parse_range(getattr(args, "m", None) or "2..5"):
+    for m in _parse_range(args.m or "2..5"):
         for n in range(1, m + 1):
             ana = yang_analytics(YangParams(m, n))
             spec, diff = suites.yang_spectrum(ana, yang_state(YangParams(m, n)), tol)
@@ -350,12 +342,10 @@ def _sweep_ef(args, tol) -> tuple[list[str], list[list]]:
                                     slater_state(b6, (2, 3)),
                                     slater_state(b6, (4, 5))])),
     ]
+    opts = EfOptions(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
     rows = []
     for name, st in cases:
-        t = embed_wedge_to_tensor(reduce_mixed(st, 2))
-        opts = EfOptions(restarts=args.restarts, max_iters=args.max_iters,
-                         seed=args.seed)
-        res = ef_optimize(t, opts, tol)
+        res = ef_optimize(embed_wedge_to_tensor(reduce_mixed(st, 2)), opts, tol)
         rows.append([name, st.basis.n_modes, res.value, LN2, res.value - LN2])
     return ["case", "M", "value", "floor", "excess"], rows
 
@@ -367,7 +357,7 @@ def _sweep_mutual_slack(args, tol) -> tuple[list[str], list[list]]:
             if N > M:
                 continue
             cases = [("slater", slater_state(RankedBasis(M, N), range(N)))]
-            if M % 2 == 0 and N % 2 == 0 and N <= M:
+            if M % 2 == 0 and N % 2 == 0:
                 cases.append(("yang", yang_state(YangParams(M // 2, N // 2))))
             for j in range(args.random):
                 cases.append((f"random-{j}",
@@ -380,33 +370,39 @@ def _sweep_mutual_slack(args, tol) -> tuple[list[str], list[list]]:
     return ["case", "M", "N", "S1", "S12", "lhs", "rhs", "slack", "holds"], rows
 
 
-def cmd_sweep(args) -> int:
-    tol = _resolve_tol(args.tol)
-    if args.quantity == "s2":
-        cols, rows = _sweep_s2(args, tol)
-    elif args.quantity == "yang-spectrum":
-        cols, rows = _sweep_yang_spectrum(args, tol)
-    elif args.quantity == "ef":
-        cols, rows = _sweep_ef(args, tol)
-    else:
-        cols, rows = _sweep_mutual_slack(args, tol)
-    _emit_table(cols, rows, args, tol)
+_SWEEPS = {
+    "s2": _sweep_s2,
+    "ef": _sweep_ef,
+    "mutual-slack": _sweep_mutual_slack,
+    "yang-spectrum": _sweep_yang_spectrum,
+}
+
+
+def cmd_sweep(args, tol: Tolerances) -> int:
+    columns, rows = _SWEEPS[args.quantity](args, tol)
+    _emit_table(columns, rows, args, tol)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=1)
+def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...] = (),
+                seed: bool = False) -> None:
+    """--tol, --out and --stamp; --seed and --format only where the command
+    reads them."""
+    if seed:
+        p.add_argument("--seed", type=int, default=1)
     p.add_argument("--tol", action="append", metavar="NAME=VALUE",
                    help="tolerance override, repeatable")
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    if formats:
+        p.add_argument("--format", choices=formats, default="json")
     p.add_argument("--out", "-o", default=None)
     p.add_argument("--stamp", action="store_true",
                    help="embed a wall-clock stamp (breaks byte-identity)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fermient",
@@ -423,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--occ", help="comma-separated occupied modes (slater)")
     ps.add_argument("--m", type=int, help="mode pairs (yang/chi)")
     ps.add_argument("--n", type=int, help="occupied pairs (yang)")
-    _add_common(ps)
+    _add_common(ps, seed=True)
     ps.set_defaults(func=cmd_state)
 
     pr = sub.add_parser("rdm", help="reduce a state (or trace an RDM) to k particles")
@@ -439,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="reduce to k particles first")
     pe.add_argument("--bits", action="store_true",
                     help="display in bits instead of nats")
-    _add_common(pe)
+    _add_common(pe, formats=("json", "csv"))
     pe.set_defaults(func=cmd_entropy)
 
     py = sub.add_parser("yang", help="closed-form pair-state analytics")
@@ -448,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     py.add_argument("--numeric", action="store_true",
                     help="cross-check against the numeric 2-RDM")
     py.add_argument("--bits", action="store_true")
-    _add_common(py)
+    _add_common(py, formats=("json", "csv"))
     py.set_defaults(func=cmd_yang)
 
     pv = sub.add_parser("verify", help="run bound suites, one JSON line per report")
@@ -457,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--N", type=int, default=None, help="filter corpus by particles")
     pv.add_argument("--random", type=int, default=50,
                     help="number of seeded random corpus states")
-    pv.add_argument("--states", nargs="*", default=[],
+    pv.add_argument("--states", nargs="*", default=(),
                     help="extra fermistate files to include")
     pv.add_argument("--restarts", type=int, default=2, help="ef restarts")
     pv.add_argument("--max-iters", type=int, default=4, help="ef sweeps per restart")
@@ -465,12 +461,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="ef ensemble size rule")
     pv.add_argument("--jobs", type=int, default=1,
                     help="worker processes, one suite each")
-    _add_common(pv)
+    _add_common(pv, formats=("json", "csv", "text"), seed=True)
     pv.set_defaults(func=cmd_verify)
 
     pw = sub.add_parser("sweep", help="CSV tables over parameter grids")
-    pw.add_argument("quantity", choices=("s2", "ef", "mutual-slack",
-                                         "yang-spectrum"))
+    pw.add_argument("quantity", choices=_SWEEPS)
     pw.add_argument("--N", default=None, help="range like 2..6")
     pw.add_argument("--M", type=int, default=None)
     pw.add_argument("--M-range", dest="M_range", default=None,
@@ -480,20 +475,19 @@ def build_parser() -> argparse.ArgumentParser:
                     help="random states per grid point (mutual-slack)")
     pw.add_argument("--restarts", type=int, default=20)
     pw.add_argument("--max-iters", type=int, default=40)
-    _add_common(pw)
+    _add_common(pw, formats=("json", "csv"), seed=True)
     pw.set_defaults(func=cmd_sweep)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         for name, low in (("random", 0), ("jobs", 1)):    # least valid counts
             if getattr(args, name, low) < low:
                 raise FermientError(
                     f"--{name} must be at least {low}, got {getattr(args, name)}")
-        return args.func(args)
+        return args.func(args, _resolve_tol(args.tol))
     except CapacityError as exc:
         print(f"fermient: capacity: {exc}", file=sys.stderr)
         return 3

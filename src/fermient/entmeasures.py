@@ -450,6 +450,8 @@ def ef_optimize(t: TensorDM, opts: EfOptions | None = None,
     opts = opts or EfOptions()
     if opts.restarts < 1:
         raise ShapeError(f"ef_optimize needs restarts >= 1, got {opts.restarts}")
+    if opts.max_iters < 1:
+        raise ShapeError(f"ef_optimize needs max_iters >= 1, got {opts.max_iters}")
     if t.parties != 2:
         raise ShapeError("ef_optimize needs a two-party density matrix")
     d = t.local_dim

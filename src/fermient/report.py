@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 from .config import TOL, Tolerances
@@ -80,9 +80,16 @@ def json_value(v) -> str:
     return _json_scalar(v)
 
 
+REPORT_COLUMNS = tuple(f.name for f in fields(BoundReport))
+
+
+def report_row(r: BoundReport) -> list:
+    """A report's fields in REPORT_COLUMNS order: one JSON line or CSV row."""
+    return [getattr(r, name) for name in REPORT_COLUMNS]
+
+
 def report_json_line(r: BoundReport) -> str:
-    return json_value({"name": r.name, "lhs": r.lhs, "rhs": r.rhs,
-                       "slack": r.slack, "holds": r.holds, "context": r.context})
+    return json_value(dict(zip(REPORT_COLUMNS, report_row(r))))
 
 
 def read_text(path) -> str:

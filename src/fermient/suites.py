@@ -62,6 +62,12 @@ def _entries(run: SuiteRun) -> list[corpus.CorpusEntry]:
     return entries
 
 
+def _pair_entries(run: SuiteRun) -> list[corpus.CorpusEntry]:
+    """The run's entries that have a 2-RDM (N >= 2): a suite that reads one
+    skips the others."""
+    return [e for e in _entries(run) if e.basis.n_particles >= 2]
+
+
 def yang_spectrum(ana: YangAnalytics, st: PureStateN, tol: Tolerances):
     """The spectrum of the pair state's unit 2-RDM and its largest difference
     from the closed-form spectrum in `ana`."""
@@ -72,9 +78,7 @@ def yang_spectrum(ana: YangAnalytics, st: PureStateN, tol: Tolerances):
 
 def mutual(run: SuiteRun) -> list[BoundReport]:
     out = []
-    for e in _entries(run):
-        if e.basis.n_particles < 2:
-            continue
+    for e in _pair_entries(run):
         for rep in entmeasures.mutual_info_bounds(e.state, run.tol):
             rep.context["state"] = e.name
             out.append(rep)
@@ -84,7 +88,7 @@ def mutual(run: SuiteRun) -> list[BoundReport]:
 def subadd(run: SuiteRun) -> list[BoundReport]:
     seed, tol = run.seed, run.tol
     out = []
-    for e in _entries(run):
+    for e in _pair_entries(run):
         rep = entmeasures.subadd_remainder(rdmcore.embed_wedge_to_tensor(e.rdm(2)),
                                            tol=tol)
         rep.context["state"] = e.name
@@ -135,7 +139,7 @@ def elem(run: SuiteRun) -> list[BoundReport]:
 
 def ef(run: SuiteRun) -> list[BoundReport]:
     out = []
-    for e in _entries(run):
+    for e in _pair_entries(run):
         t = rdmcore.embed_wedge_to_tensor(e.rdm(2))
         res = entmeasures.ef_optimize(t, run.ef, run.tol)
         out.append(report.bound_report(

@@ -178,6 +178,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     ["verify", "mutual", "--M", "4", "--random", "-3"],
     ["sweep", "mutual-slack", "--random", "-1"],
     ["verify", "mutual", "--M", "4", "--random", "0", "--jobs", "0"],
+    ["verify", "ef", "--M", "4", "--random", "0", "--max-iters", "-3"],
+    ["sweep", "ef", "--max-iters", "-2"],
+    ["sweep", "s2", "--M", "0"],
 ])
 def test_malformed_values_exit_2(argv, capsys):
     assert cli.main(argv) == 2
@@ -301,6 +304,73 @@ def test_jobs_is_a_verify_option_only(tmp_path, capsys):
             cli.main(argv + ["--jobs", "2"])
         assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_options_a_command_does_not_read_are_refused(tmp_path, capsys):
+    p = _write_yang(tmp_path, 2, 1)
+    yang = ["yang", "--m", "2", "--n", "1"]
+    for argv in (["rdm", str(p), "--k", "1", "--seed", "2"], ["entropy", str(p), "--seed", "2"],
+                 yang + ["--seed", "2"],
+                 ["state", "yang", "--m", "2", "--n", "1", "--format", "json"],
+                 ["rdm", str(p), "--k", "1", "--format", "json"],
+                 ["entropy", str(p), "--format", "text"], yang + ["--format", "text"],
+                 ["sweep", "s2", "--format", "text"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+    capsys.readouterr()
+
+
+def test_parser_is_built_once_and_calls_share_no_state(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    p = _write_yang(tmp_path, 2, 1)
+    capsys.readouterr()
+    assert cli.main(["verify", "mutual", "--random", "0", "--states", str(p),
+                     "--tol", "bound_slack=1e-6"]) == 0
+    first = _json_lines(capsys.readouterr().out)[0]["meta"]
+    assert first["config"]["states"] == [str(p)]
+    assert first["tolerances"]["bound_slack"] == 1e-6
+    assert cli.main(["verify", "mutual", "--M", "4", "--random", "0"]) == 0
+    second = _json_lines(capsys.readouterr().out)[0]["meta"]
+    assert second["config"]["tol"] is None and second["config"]["states"] == []
+    assert second["tolerances"]["bound_slack"] != 1e-6
+
+
+def test_verify_jobs_are_capped_at_the_suite_count(monkeypatch, capsys):
+    # a fork pool starts every worker it is asked for; the fake starts none
+    import concurrent.futures
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert cli.main(["verify", "yang", "--jobs", "64"]) == 0
+    assert requested == []          # one suite runs serially
+    assert cli.main(["verify", "all", "--M", "4", "--random", "0", "--restarts", "1",
+                     "--max-iters", "1", "--jobs", "64"]) == 0
+    assert requested == [len(cli._SUITES)]
+    capsys.readouterr()
+
+
+def test_one_particle_states_skip_the_2rdm_suites(tmp_path, capsys):
+    p = tmp_path / "n1.fermistate"
+    assert cli.main(["state", "slater", "--M", "3", "--occ", "1", "--out", str(p)]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", "all", "--random", "0", "--M", "3", "--states", str(p)]) == 0
+    reports = _json_lines(capsys.readouterr().out)[1:]
+    # of the suites that read corpus states, only `elem` reports on N = 1
+    assert [r["name"] for r in reports if "state" in r["context"]] == ["n-body/elem-sym"]
 
 
 def test_verify_reports_identical_across_processes(tmp_path):

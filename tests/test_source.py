@@ -59,3 +59,10 @@ def test_files_are_opened_only_in_report():
              and "open" in (getattr(node.func, "attr", None),
                             getattr(node.func, "id", None))]
     assert sites and all(site.startswith("report.py:") for site in sites), sites
+
+
+def test_tolerances_are_resolved_once_in_main():
+    calls = [fn.name for fn in ast.walk(_trees()["cli.py"]) if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_resolve_tol"]
+    assert calls == ["main"]
