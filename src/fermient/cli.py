@@ -2,9 +2,14 @@
 which runs the bound suites of `suites` listed in _SUITES.
 
 One parser serves the process; `main` resolves --tol once and hands the
-record to the command. A command takes only the options it reads: --seed on
-`state`, `verify` and `sweep`; --format on `entropy`, `yang`, `sweep` (json,
-csv) and `verify` (json, csv, text).
+record to the command. Each call (`rdm`, `entropy`, `yang`, and each state
+kind, verify suite and sweep quantity) is a parser of its own that takes only
+the options its code reads, listed in _STATE_KINDS, _VERIFY_SUITES and
+_SWEEP_QUANTITIES; every call takes --tol, --out and --stamp, and --format
+where it writes a table (json, csv; `verify` also text). The one exception is
+`verify yang`, which keeps --random and --seed unread so that one command
+line runs every bound suite. An option a call does not take exits 2 with
+that call's usage.
 
 Output contract:
   * every run embeds its resolved configuration (and tolerance set) in the
@@ -98,7 +103,7 @@ def _resolve_tol(pairs: list[str] | None) -> Tolerances:
 
 
 def _meta_obj(args, tol: Tolerances) -> dict:
-    config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "parser")}
     meta = {"tool": "fermient", "version": __version__,
             "config": config, "tolerances": tolerances_dict(tol)}
     if args.stamp:
@@ -277,11 +282,14 @@ def _task_runner(spec):
 
 
 def cmd_verify(args, tol: Tolerances) -> int:
+    took = vars(args)       # a suite's call holds only the options it takes
+    ef = EfOptions()        # read only by the suites that take --restarts
+    if "restarts" in took:
+        ef = EfOptions(ensemble_size=args.ensemble, restarts=args.restarts,
+                       seed=args.seed, max_iters=args.max_iters)
     run = suites.SuiteRun(
-        seed=args.seed, n_random=args.random, M=args.M, N=args.N,
-        states=tuple(args.states), tol=tol,
-        ef=EfOptions(ensemble_size=args.ensemble, restarts=args.restarts,
-                     seed=args.seed, max_iters=args.max_iters))
+        seed=args.seed, n_random=args.random, M=took.get("M"), N=took.get("N"),
+        states=tuple(took.get("states", ())), tol=tol, ef=ef)
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     specs = [(name, run) for name in names]
     workers = min(args.jobs, len(specs))    # a pool starts every worker it is given
@@ -296,9 +304,14 @@ def cmd_verify(args, tol: Tolerances) -> int:
     reports = [r for chunk in results for r in chunk]
     if not reports:
         picked = " ".join(f"--{name} {value}" for name, value
-                          in (("M", args.M), ("N", args.N)) if value is not None)
-        raise FermientError(f"verify {args.suite}: no state matches "
-                            f"{picked or 'the selection'}; nothing was checked")
+                          in (("M", run.M), ("N", run.N)) if value is not None)
+        picked = picked or "the selection"
+        if suites.entries(run):
+            raise FermientError(
+                f"verify {args.suite}: every state that matches {picked} was "
+                "skipped, since the suite reads 2-RDMs (N >= 2); nothing was checked")
+        raise FermientError(f"verify {args.suite}: no state matches {picked}; "
+                            "nothing was checked")
     _emit_table(REPORT_COLUMNS, [report_row(r) for r in reports], args, tol)
     return 0 if all(r.holds for r in reports) else 1
 
@@ -385,14 +398,80 @@ def cmd_sweep(args, tol: Tolerances) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: one leaf per command, state kind, verify suite and sweep quantity,
+# each holding only the options its code reads
 
-def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...] = (),
-                seed: bool = False) -> None:
-    """--tol, --out and --stamp; --seed and --format only where the command
-    reads them."""
-    if seed:
-        p.add_argument("--seed", type=int, default=1)
+_STATE_OPTIONS = {
+    "--M": {"type": int},
+    "--N": {"type": int},
+    "--occ": {"help": "comma-separated occupied modes"},
+    "--m": {"type": int, "help": "mode pairs"},
+    "--n": {"type": int, "help": "occupied pairs"},
+    "--seed": {"type": int, "default": 1},
+}
+_STATE_KINDS = {
+    "slater": ("--M", "--occ"),
+    "yang": ("--m", "--n"),
+    "chi": ("--m",),
+    "random": ("--M", "--N", "--seed"),
+}
+
+_VERIFY_OPTIONS = {
+    "--random": {"type": int, "default": 50,
+                 "help": "number of seeded random corpus states"},
+    "--seed": {"type": int, "default": 1},
+    "--jobs": {"type": int, "default": 1, "help": "worker processes, one suite each"},
+    "--M": {"type": int, "help": "filter corpus by modes"},
+    "--N": {"type": int, "help": "filter corpus by particles"},
+    "--states": {"nargs": "*", "default": (), "help": "extra fermistate files to include"},
+    "--restarts": {"type": int, "default": 2, "help": "ef restarts"},
+    "--max-iters": {"type": int, "default": 4, "help": "ef sweeps per restart"},
+    "--ensemble": {"choices": ("rank", "square"), "default": "rank",
+                   "help": "ef ensemble size rule"},
+}
+_ANY_SUITE = ("--random", "--seed", "--jobs")
+_CORPUS = _ANY_SUITE + ("--M", "--N", "--states")
+_EF = _CORPUS + ("--restarts", "--max-iters", "--ensemble")
+# `yang` reads neither --random nor --seed; it keeps both so that one command
+# line (perfbench's verify-bounds workload) runs every bound suite
+_VERIFY_SUITES = {
+    "mutual": _CORPUS,
+    "subadd": _CORPUS,
+    "elem": _CORPUS,
+    "ef": _EF,
+    "squash": _ANY_SUITE,
+    "yang": _ANY_SUITE,
+    "all": _EF,
+}
+
+_SWEEP_OPTIONS = {
+    "--N": {"help": "range like 2..6"},
+    "--M": {"type": int},
+    "--M-range": {"help": "range like 4..6"},
+    "--m": {"help": "range like 2..5"},
+    "--random": {"type": int, "default": 5, "help": "random states per grid point"},
+    "--restarts": {"type": int, "default": 20},
+    "--max-iters": {"type": int, "default": 40},
+    "--seed": {"type": int, "default": 1},
+}
+_SWEEP_QUANTITIES = {
+    "s2": ("--N", "--M"),
+    "ef": ("--restarts", "--max-iters", "--seed"),
+    "mutual-slack": ("--N", "--M-range", "--random", "--seed"),
+    "yang-spectrum": ("--m",),
+}
+
+_TABLE_FORMATS = ("json", "csv")
+
+
+def _leaf(sub, name: str, func, options: dict, formats: tuple[str, ...] = (),
+          **kw) -> None:
+    """A call's parser: `options` (flag -> add_argument keywords), then --tol,
+    --format where the call reads it, --out and --stamp. Flags must be spelled
+    out: a prefix could name another option (`--M` of `--M-range`)."""
+    p = sub.add_parser(name, allow_abbrev=False, **kw)
+    for flag, spec in options.items():
+        p.add_argument(flag, **spec)
     p.add_argument("--tol", action="append", metavar="NAME=VALUE",
                    help="tolerance override, repeatable")
     if formats:
@@ -400,6 +479,15 @@ def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...] = (),
     p.add_argument("--out", "-o", default=None)
     p.add_argument("--stamp", action="store_true",
                    help="embed a wall-clock stamp (breaks byte-identity)")
+    p.set_defaults(func=func, parser=p)
+
+
+def _group(sub, command: str, dest: str, func, options: dict, leaves: dict,
+           formats: tuple[str, ...] = (), **kw) -> None:
+    """A command whose kind, suite or quantity is a leaf of its own."""
+    group = sub.add_parser(command, **kw).add_subparsers(dest=dest, required=True)
+    for name, flags in leaves.items():
+        _leaf(group, name, func, {f: options[f] for f in flags}, formats)
 
 
 @functools.cache
@@ -411,77 +499,36 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version",
                     version=f"fermient {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    ps = sub.add_parser("state", help="construct a state and write a fermistate file")
-    ps.add_argument("kind", choices=("slater", "yang", "chi", "random"))
-    ps.add_argument("--M", type=int)
-    ps.add_argument("--N", type=int)
-    ps.add_argument("--occ", help="comma-separated occupied modes (slater)")
-    ps.add_argument("--m", type=int, help="mode pairs (yang/chi)")
-    ps.add_argument("--n", type=int, help="occupied pairs (yang)")
-    _add_common(ps, seed=True)
-    ps.set_defaults(func=cmd_state)
-
-    pr = sub.add_parser("rdm", help="reduce a state (or trace an RDM) to k particles")
-    pr.add_argument("input")
-    pr.add_argument("--k", type=int, required=True)
-    pr.add_argument("--norm", choices=(UNIT, PHYSICS), default=UNIT)
-    _add_common(pr)
-    pr.set_defaults(func=cmd_rdm)
-
-    pe = sub.add_parser("entropy", help="entropy and purity of a state or RDM file")
-    pe.add_argument("input")
-    pe.add_argument("--k", type=int, default=None,
-                    help="reduce to k particles first")
-    pe.add_argument("--bits", action="store_true",
-                    help="display in bits instead of nats")
-    _add_common(pe, formats=("json", "csv"))
-    pe.set_defaults(func=cmd_entropy)
-
-    py = sub.add_parser("yang", help="closed-form pair-state analytics")
-    py.add_argument("--m", type=int, required=True)
-    py.add_argument("--n", type=int, required=True)
-    py.add_argument("--numeric", action="store_true",
-                    help="cross-check against the numeric 2-RDM")
-    py.add_argument("--bits", action="store_true")
-    _add_common(py, formats=("json", "csv"))
-    py.set_defaults(func=cmd_yang)
-
-    pv = sub.add_parser("verify", help="run bound suites, one JSON line per report")
-    pv.add_argument("suite", choices=(*_SUITES, "all"))
-    pv.add_argument("--M", type=int, default=None, help="filter corpus by modes")
-    pv.add_argument("--N", type=int, default=None, help="filter corpus by particles")
-    pv.add_argument("--random", type=int, default=50,
-                    help="number of seeded random corpus states")
-    pv.add_argument("--states", nargs="*", default=(),
-                    help="extra fermistate files to include")
-    pv.add_argument("--restarts", type=int, default=2, help="ef restarts")
-    pv.add_argument("--max-iters", type=int, default=4, help="ef sweeps per restart")
-    pv.add_argument("--ensemble", choices=("rank", "square"), default="rank",
-                    help="ef ensemble size rule")
-    pv.add_argument("--jobs", type=int, default=1,
-                    help="worker processes, one suite each")
-    _add_common(pv, formats=("json", "csv", "text"), seed=True)
-    pv.set_defaults(func=cmd_verify)
-
-    pw = sub.add_parser("sweep", help="CSV tables over parameter grids")
-    pw.add_argument("quantity", choices=_SWEEPS)
-    pw.add_argument("--N", default=None, help="range like 2..6")
-    pw.add_argument("--M", type=int, default=None)
-    pw.add_argument("--M-range", dest="M_range", default=None,
-                    help="range like 4..6 (mutual-slack)")
-    pw.add_argument("--m", default=None, help="range like 2..5 (yang-spectrum)")
-    pw.add_argument("--random", type=int, default=5,
-                    help="random states per grid point (mutual-slack)")
-    pw.add_argument("--restarts", type=int, default=20)
-    pw.add_argument("--max-iters", type=int, default=40)
-    _add_common(pw, formats=("json", "csv"), seed=True)
-    pw.set_defaults(func=cmd_sweep)
+    _group(sub, "state", "kind", cmd_state, _STATE_OPTIONS, _STATE_KINDS,
+           help="construct a state and write a fermistate file")
+    _leaf(sub, "rdm", cmd_rdm, {
+        "input": {},
+        "--k": {"type": int, "required": True},
+        "--norm": {"choices": (UNIT, PHYSICS), "default": UNIT},
+    }, help="reduce a state (or trace an RDM) to k particles")
+    _leaf(sub, "entropy", cmd_entropy, {
+        "input": {},
+        "--k": {"type": int, "help": "reduce to k particles first"},
+        "--bits": {"action": "store_true", "help": "display in bits instead of nats"},
+    }, _TABLE_FORMATS, help="entropy and purity of a state or RDM file")
+    _leaf(sub, "yang", cmd_yang, {
+        "--m": {"type": int, "required": True},
+        "--n": {"type": int, "required": True},
+        "--numeric": {"action": "store_true",
+                      "help": "cross-check against the numeric 2-RDM"},
+        "--bits": {"action": "store_true"},
+    }, _TABLE_FORMATS, help="closed-form pair-state analytics")
+    _group(sub, "verify", "suite", cmd_verify, _VERIFY_OPTIONS, _VERIFY_SUITES,
+           ("json", "csv", "text"), help="run bound suites, one JSON line per report")
+    _group(sub, "sweep", "quantity", cmd_sweep, _SWEEP_OPTIONS, _SWEEP_QUANTITIES,
+           _TABLE_FORMATS, help="CSV tables over parameter grids")
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:   # refused by the call's own parser, whose usage lists what it takes
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         for name, low in (("random", 0), ("jobs", 1)):    # least valid counts
             if getattr(args, name, low) < low:

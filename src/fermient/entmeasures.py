@@ -330,8 +330,8 @@ def nbody_elem_bound(state: PureStateN | MixedStateN, tol: Tolerances = TOL,
 
 @dataclass
 class EfOptions:
-    # ensemble size: an int, "rank" (= support rank r), or None/"square" (= r**2)
-    ensemble_size: int | str | None = None
+    # ensemble size: an int, "rank" (= support rank r) or "square" (= r**2)
+    ensemble_size: int | str = "square"
     restarts: int = 20
     seed: int = 0
     max_iters: int = 60                # sweeps per restart
@@ -467,12 +467,16 @@ def ef_optimize(t: TensorDM, opts: EfOptions | None = None,
     if r > cap.ef_rank:
         raise CapacityError(f"support rank {r} exceeds capacity {cap.ef_rank}")
     x = np.sqrt(mu)[:, None] * phi.T          # (r, d*d); rows span the support
-    if opts.ensemble_size in (None, "square"):
+    size = opts.ensemble_size
+    if size == "square":
         L = r * r
-    elif opts.ensemble_size == "rank":
+    elif size == "rank":
         L = r
+    elif isinstance(size, int) and not isinstance(size, bool):
+        L = size
     else:
-        L = int(opts.ensemble_size)
+        raise ShapeError(
+            f"ensemble size must be 'rank', 'square' or an int, got {size!r}")
     if L < r:
         raise ShapeError(f"ensemble size {L} below support rank {r}")
 

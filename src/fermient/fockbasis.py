@@ -6,11 +6,12 @@ are ordered colexicographically: the rank of {s_0 < s_1 < ... < s_{N-1}} is
 sum_t C(s_t, t+1). Colex compares two sets at their largest differing mode,
 as integer comparison does their bitmasks, so `colex_masks` (ascending masks)
 lists a basis in rank order and a sorted search in it ranks members; `rank`
-and `unrank` are the scalar references over a Pascal cache.
+and `unrank` are the scalar references.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -21,21 +22,14 @@ from .errors import InvalidModeSetError, NonDisjointError, RangeError
 
 MAX_MODES = CAP.max_modes
 
-# Pascal triangle up to MAX_MODES, exact ints; _PASCAL[n][k] = C(n, k).
-_PASCAL: list[list[int]] = [[1]]
-for _n in range(1, MAX_MODES + 1):
-    _prev = _PASCAL[-1]
-    _PASCAL.append([1] + [_prev[_k - 1] + (_prev[_k] if _k < _n else 0)
-                          for _k in range(1, _n)] + [1])
-
 
 def binom(n: int, k: int) -> int:
-    """C(n, k) from the cache; 0 outside the triangle."""
+    """C(n, k) for n <= MAX_MODES; 0 outside the triangle."""
     if k < 0 or k > n or n < 0:
         return 0
     if n > MAX_MODES:
-        raise RangeError(f"binomial cache covers n <= {MAX_MODES}, got {n}")
-    return _PASCAL[n][k]
+        raise RangeError(f"binom covers n <= {MAX_MODES}, got {n}")
+    return math.comb(n, k)
 
 
 def modeset(modes: Iterable[int]) -> int:

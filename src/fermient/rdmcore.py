@@ -346,6 +346,8 @@ def loads_rdm(text: str) -> ReducedDM:
             raise ShapeError(f"row {i} has a non-numeric entry: {' '.join(fields)!r}") from exc
         if len(vals) != 2 * D:
             raise ShapeError(f"row {i} has {len(vals)} numbers, expected {2 * D}")
+        if not all(map(math.isfinite, vals)):
+            raise ShapeError(f"row {i} has a non-finite entry: {' '.join(fields)!r}")
         mat[i] = np.asarray(vals[0::2]) + 1j * np.asarray(vals[1::2])
     n_particles = None
     if tag == PHYSICS:

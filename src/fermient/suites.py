@@ -49,23 +49,23 @@ def _corpus(seed: int, n_random: int) -> list[corpus.CorpusEntry]:
     return _CORPUS_CACHE[key]
 
 
-def _entries(run: SuiteRun) -> list[corpus.CorpusEntry]:
+def entries(run: SuiteRun) -> list[corpus.CorpusEntry]:
     """The run's corpus plus its state files, filtered by M and N."""
-    entries = list(_corpus(run.seed, run.n_random))
+    out = list(_corpus(run.seed, run.n_random))
     for i, path in enumerate(run.states):
         st = statekit.load_state(path)
-        entries.append(corpus.CorpusEntry(f"user-{i}-{path}", "user", st))
+        out.append(corpus.CorpusEntry(f"user-{i}-{path}", "user", st))
     if run.M is not None:
-        entries = [e for e in entries if e.basis.n_modes == run.M]
+        out = [e for e in out if e.basis.n_modes == run.M]
     if run.N is not None:
-        entries = [e for e in entries if e.basis.n_particles == run.N]
-    return entries
+        out = [e for e in out if e.basis.n_particles == run.N]
+    return out
 
 
 def _pair_entries(run: SuiteRun) -> list[corpus.CorpusEntry]:
     """The run's entries that have a 2-RDM (N >= 2): a suite that reads one
     skips the others."""
-    return [e for e in _entries(run) if e.basis.n_particles >= 2]
+    return [e for e in entries(run) if e.basis.n_particles >= 2]
 
 
 def yang_spectrum(ana: YangAnalytics, st: PureStateN, tol: Tolerances):
@@ -116,7 +116,7 @@ def subadd(run: SuiteRun) -> list[BoundReport]:
 
 def elem(run: SuiteRun) -> list[BoundReport]:
     out = []
-    for e in _entries(run):
+    for e in entries(run):
         rep = entmeasures.nbody_elem_bound(e.state, run.tol)
         rep.context["state"] = e.name
         out.append(rep)

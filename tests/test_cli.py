@@ -522,3 +522,84 @@ def test_state_chi_and_sweeps_run(capsys):
     rows = _json_lines(capsys.readouterr().out)[1:]
     assert [r["case"] for r in rows] == ["slater-proj-M4", "mix2-M4", "mix3-M6"]
     assert all(r["excess"] > -1e-4 for r in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "yang", "--M", "4"],
+    ["verify", "yang", "--states", "f.fermistate"],
+    ["verify", "squash", "--N", "3"],
+    ["verify", "mutual", "--restarts", "3"],
+    ["verify", "elem", "--ensemble", "square"],
+    ["state", "chi", "--M", "4"],
+    ["state", "slater", "--M", "4", "--occ", "0,1", "--seed", "2"],
+    ["sweep", "s2", "--restarts", "3"],
+    ["sweep", "yang-spectrum", "--random", "2"],
+    ["sweep", "mutual-slack", "--M", "4"],
+    ["rdm", "FILE", "--k", "1", "--seed", "3"],
+])
+def test_an_option_the_call_does_not_read_shows_its_usage(argv, capsys):
+    call = argv[:1] if argv[0] == "rdm" else argv[:2]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: fermient {' '.join(call)} ")
+    assert captured.err.strip().splitlines()[-1].startswith(
+        f"fermient {' '.join(call)}: error: unrecognized arguments: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "ef", "--random", "8", "--seed", "3", "--jobs", "1", "--M", "6", "--N", "2"],
+    *(["verify", suite, "--random", "150", "--seed", "3", "--jobs", "1"]
+      for suite in ("mutual", "subadd", "elem", "squash", "yang")),
+    ["entropy", "P", "--k", "2"],
+    ["rdm", "P", "--k", "2", "--norm", "physics", "--out", "R"],
+])
+def test_benchmark_command_lines_parse(argv):
+    args, extra = cli.build_parser().parse_known_args(argv)
+    assert extra == []
+
+
+def test_headers_record_only_the_options_a_call_takes(capsys):
+    common = {"command", "tol", "format", "out", "stamp"}
+    assert cli.main(["verify", "yang"]) == 0
+    meta = _json_lines(capsys.readouterr().out)[0]["meta"]
+    assert set(meta["config"]) == common | {"suite", "random", "seed", "jobs"}
+    assert cli.main(["sweep", "s2", "--N", "2..3"]) == 0
+    meta = _json_lines(capsys.readouterr().out)[0]["meta"]
+    assert set(meta["config"]) == common | {"quantity", "N", "M"}
+    assert cli.main(["state", "chi", "--m", "2"]) == 0
+    header = capsys.readouterr().out.splitlines()[1]
+    assert header.startswith("# config: ")
+    config = json.loads(header.removeprefix("# config: "))
+    assert set(config) == common - {"format"} | {"kind", "m"}
+
+
+def test_verify_whose_states_were_all_skipped_says_so(tmp_path, capsys):
+    p = tmp_path / "n1.fermistate"
+    assert cli.main(["state", "slater", "--M", "3", "--occ", "1", "--out", str(p)]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", "ef", "--random", "0", "--M", "3", "--states", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "no state matches" not in captured.err
+    assert "skipped" in captured.err and "N >= 2" in captured.err
+
+
+@pytest.mark.parametrize("header, bad", [("fermirdm 4 1 physics", "nan"),
+                                         ("fermirdm 4 1 unit", "inf")])
+def test_rdm_files_with_non_finite_entries_exit_2(tmp_path, capsys, header, bad):
+    rows = [["0"] * 8 for _ in range(4)]
+    for i in range(4):
+        rows[i][2 * i] = "0.25" if header.endswith("unit") else "0.5"
+    rows[2][4] = bad
+    p = tmp_path / "bad.fermirdm"
+    p.write_text(header + "\n" + "".join(" ".join(r) + "\n" for r in rows))
+    for argv in (["entropy", str(p)], ["rdm", str(p), "--k", "1"]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.err.startswith("fermient: error: row 2 has a non-finite entry")

@@ -350,6 +350,14 @@ def test_ef_ensemble_size_options():
         ef_optimize(t, dataclasses.replace(quick, ensemble_size=1))
 
 
+@pytest.mark.parametrize("size", [None, "cube", "4", 2.5, True])
+def test_ef_ensemble_size_takes_rank_square_or_an_int(size):
+    assert EfOptions().ensemble_size == "square"
+    t = _pair_tensor(slater_state(RankedBasis(4, 2), (0, 1)))
+    with pytest.raises(ShapeError, match="ensemble size"):
+        ef_optimize(t, EfOptions(ensemble_size=size, restarts=1, max_iters=1))
+
+
 def test_ef_input_validation():
     three = embed_state_full(slater_state(RankedBasis(4, 3), (0, 1, 2)))
     with pytest.raises(ShapeError):

@@ -1,9 +1,11 @@
 """Static checks on the package source, read with `ast`."""
 
 import ast
+import dataclasses
 import pathlib
 
 import fermient
+from fermient.config import Capacities, Tolerances
 
 SRC = pathlib.Path(fermient.__file__).parent
 
@@ -66,3 +68,13 @@ def test_tolerances_are_resolved_once_in_main():
              for node in ast.walk(fn)
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_resolve_tol"]
     assert calls == ["main"]
+
+
+def test_every_tolerance_and_capacity_is_read():
+    # a threshold printed in every header must be enforced somewhere;
+    # jacobi_max_sweeps stays only because --tol accepts it (see config.py)
+    read = {node.attr for tree in _trees().values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = {f.name for record in (Tolerances, Capacities)
+              for f in dataclasses.fields(record)}
+    assert sorted(fields - read) == ["jacobi_max_sweeps"]
