@@ -18,7 +18,7 @@ from .errors import (CapacityError, FermientError, InvalidModeSetError,
 from .fockbasis import (RankedBasis, binom, colex_masks, enumerate_supersets,
                         merge_sign, modes_of, modeset, rank, unrank)
 from .hermlin import (Spectrum, as_hermitian, eig_herm, kron, psd_root,
-                      sqrt_from_spectrum, sqrt_psd, trace_product)
+                      sqrt_from_spectrum, sqrt_psd, support, trace_product)
 from .statekit import (MixedStateN, PureStateN, YangParams, as_mixture,
                        chi_pair_vector, convex_mixture, dumps_state,
                        load_state, loads_state, pair_modes, random_pure_state,

@@ -30,7 +30,7 @@ from .config import CAP, TOL, Capacities, Tolerances
 from .errors import (CapacityError, NormalizationError, RangeError,
                      ShapeError)
 from .fockbasis import RankedBasis
-from .hermlin import Spectrum, eig_herm, kron, psd_root, trace_product
+from .hermlin import Spectrum, eig_herm, kron, psd_root, support, trace_product
 from .rdmcore import (ReducedDM, TensorDM, UNIT, reduce_amplitudes,
                       reduce_mixed, reduce_pure, tensor_ptrace)
 from .report import BoundReport, bound_report
@@ -63,19 +63,20 @@ def _density_matrix_of(obj) -> np.ndarray:
 
 
 def vn_entropy(obj, tol: Tolerances = TOL) -> float:
-    """von Neumann entropy in nats of a unit-trace density matrix or Spectrum."""
+    """von Neumann entropy in nats of a unit-trace density matrix or Spectrum,
+    -sum lambda ln lambda over its support."""
     if isinstance(obj, Spectrum):
-        lam = obj.eigenvalues
+        spec = obj
     else:
         mat = _density_matrix_of(obj)
         tr = float(np.trace(mat).real)
         if abs(tr - 1.0) > tol.unit_trace:
             raise NormalizationError(f"trace {tr!r} is not 1 within {tol.unit_trace}")
-        lam = eig_herm(mat, vectors=False, tol=tol).eigenvalues
-    total = float(np.sum(lam))
+        spec = eig_herm(mat, vectors=False, tol=tol)
+    total = float(np.sum(spec.eigenvalues))
     if abs(total - 1.0) > tol.unit_trace:
         raise NormalizationError(f"spectrum sums to {total!r}, not 1")
-    return entropy_of_probs(lam, tol.support_cutoff)
+    return entropy_of_probs(support(spec, tol)[0], 0.0)
 
 
 def purity(obj) -> float:
@@ -158,7 +159,9 @@ def subadd_remainder(t: TensorDM, rho1: np.ndarray | None = None,
             gap = float(np.linalg.norm(np.asarray(given) - computed))
             if gap > tol.marginal_match:
                 raise ShapeError(f"{label} differs from the true marginal by {gap:.3e}")
-    s12, (s1, s2), a, b = _dense_remainder(rho, [m1, m2], tol)
+    s12, a = _entropy_and_root(rho, tol)
+    (s1, r1), (s2, r2) = (_entropy_and_root(m, tol) for m in (m1, m2))
+    b = kron(r1, r2)
     tr = trace_product(a, b)
     diff = a - b
     tr_alt = 1.0 - 0.5 * trace_product(diff, diff)
@@ -174,18 +177,6 @@ def _entropy_and_root(a: np.ndarray, tol: Tolerances) -> tuple[float, np.ndarray
     return vn_entropy(spec, tol), root
 
 
-def _dense_remainder(rho: np.ndarray, marginals: list[np.ndarray], tol: Tolerances,
-                     cap: Capacities = CAP):
-    """S(rho), the block entropies, sqrt(rho) and x_b sqrt(rho_b), from one
-    checked root (and eigensolve) per matrix."""
-    s_full, root = _entropy_and_root(rho, tol)
-    s_blocks, roots = zip(*(_entropy_and_root(rb, tol) for rb in marginals))
-    prod = roots[0]
-    for r in roots[1:]:
-        prod = kron(prod, r, cap)
-    return s_full, list(s_blocks), root, prod
-
-
 def _contiguous_blocks(parties: int, grouping) -> list[tuple[int, ...]]:
     if grouping is None:
         return [(i,) for i in range(parties)]
@@ -196,21 +187,24 @@ def _contiguous_blocks(parties: int, grouping) -> list[tuple[int, ...]]:
     return blocks
 
 
-def _apply_blockwise(vec: np.ndarray, mats: list[np.ndarray],
+def _apply_blockwise(vecs: np.ndarray, mats: tuple[np.ndarray, ...],
                      dims: list[int]) -> np.ndarray:
-    """Apply (B_0 x B_1 x ...) to a vector reshaped over the block dims."""
-    arr = vec.reshape(dims)
+    """Apply (B_0 x B_1 x ...) to every column of vecs, reshaped over the
+    block dims."""
+    arr = vecs.reshape(*dims, -1)
     for i, mat in enumerate(mats):
         arr = np.moveaxis(np.tensordot(mat, arr, axes=([1], [i])), 0, i)
-    return arr.reshape(-1)
+    return arr.reshape(vecs.shape)
 
 
 def subadd_remainder_n(t: TensorDM, grouping=None, tol: Tolerances = TOL,
                        cap: Capacities = CAP) -> BoundReport:
     """Grouped n-party version: S(rho) - sum_b S(rho_b) <= 2 ln Tr[sqrt(rho) x_b sqrt(rho_b)].
 
-    Blocks must be contiguous runs of parties. Factored inputs (from
-    embed_state_full) are handled through their Gram spectrum so large
+    Blocks must be contiguous runs of parties. Both routes reduce rho to its
+    support pairs (lambda_a, e_a) and evaluate
+    Tr = sum_a sqrt(lambda_a) <e_a| x_b sqrt(rho_b) |e_a>. Factored inputs
+    (from embed_state_full) take the pairs from their Gram spectrum, so large
     fermionic tensors never hit the dense eigensolver.
     """
     blocks = _contiguous_blocks(t.parties, grouping)
@@ -218,28 +212,24 @@ def subadd_remainder_n(t: TensorDM, grouping=None, tol: Tolerances = TOL,
     block_dims = [d ** len(b) for b in blocks]
     if t.factors is not None:
         w, vecs = t.factors
-        gspec = eig_herm(_mixture_gram(w, vecs), vectors=True, tol=tol)
-        s_full = vn_entropy(gspec, tol)
-        keep = gspec.eigenvalues > tol.support_cutoff
-        lam = gspec.eigenvalues[keep]
-        basis_vecs = (vecs * np.sqrt(w)) @ gspec.vectors[:, keep]
-        basis_vecs /= np.sqrt(lam)
+        spec = eig_herm(_mixture_gram(w, vecs), vectors=True, tol=tol)
+        lam, gvecs = support(spec, tol)
+        basis_vecs = ((vecs * np.sqrt(w)) @ gvecs) / np.sqrt(lam)
         marginals = []
         for b in blocks:
             v = vecs.T.reshape(len(w), d ** b[0], d ** len(b), -1)
             marginals.append(np.einsum("i,iabc,iadc->bd", w, v, v.conj()))
-        s_blocks, roots = zip(*(_entropy_and_root(rb, tol) for rb in marginals))
-        tr = 0.0
-        for lam_a, e_a in zip(lam, basis_vecs.T):
-            image = _apply_blockwise(e_a, roots, block_dims)
-            tr += math.sqrt(lam_a) * float(np.vdot(e_a, image).real)
     else:
         if t.dim > cap.dense_eig:
             raise CapacityError(
                 f"dense n-party remainder limited to dim {cap.dense_eig}, got {t.dim}")
-        s_full, s_blocks, root, big = _dense_remainder(
-            t.dense(), [tensor_ptrace(t, b) for b in blocks], tol, cap)
-        tr = trace_product(root, big)
+        spec = eig_herm(t.dense(), vectors=True, tol=tol)
+        lam, basis_vecs = support(spec, tol)
+        marginals = [tensor_ptrace(t, b) for b in blocks]
+    s_full = vn_entropy(spec, tol)
+    s_blocks, roots = zip(*(_entropy_and_root(rb, tol) for rb in marginals))
+    image = _apply_blockwise(basis_vecs, roots, block_dims)
+    tr = float(np.sqrt(lam) @ np.einsum("ia,ia->a", basis_vecs.conj(), image).real)
     lhs = s_full - sum(s_blocks)
     rhs = 2.0 * math.log(tr) if tr > 0.0 else -math.inf
     ctx = {"S_full": s_full, "S_blocks": list(s_blocks), "trace_form": tr,
@@ -459,10 +449,7 @@ def ef_optimize(t: TensorDM, opts: EfOptions | None = None,
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > tol.unit_trace:
         raise NormalizationError(f"trace {tr!r} is not 1 within {tol.unit_trace}")
-    spec = eig_herm(rho, vectors=True, tol=tol)
-    keep = spec.eigenvalues > tol.support_cutoff
-    mu = spec.eigenvalues[keep]
-    phi = spec.vectors[:, keep]
+    mu, phi = support(eig_herm(rho, vectors=True, tol=tol), tol)
     r = int(mu.size)
     if r > cap.ef_rank:
         raise CapacityError(f"support rank {r} exceeds capacity {cap.ef_rank}")
@@ -695,6 +682,10 @@ def min_s2_search(M: int, N: int, opts: MinS2Options | None = None,
     reference ln C(N,2); it never asserts that the reference is minimal.
     """
     opts = opts or MinS2Options()
+    if opts.restarts < 1:
+        raise ShapeError(f"min_s2_search needs restarts >= 1, got {opts.restarts}")
+    if opts.iters < 0:
+        raise ShapeError(f"min_s2_search needs iters >= 0, got {opts.iters}")
     if N < 2:
         raise RangeError("2-RDM search needs N >= 2")
     basis = RankedBasis(M, N)

@@ -6,7 +6,8 @@ descending; in each cluster of eigenvalues within tol.eig_residual * ||A|| of
 its first, the basis that pivoted Gram-Schmidt builds from the columns of the
 cluster's projector V V^+; each vector's largest-modulus entry real positive.
 Eigenpairs (eig_residual) and square roots (sqrt_square) are checked, and a
-failed check raises NumericalError.
+failed check raises NumericalError. `support` alone decides which eigenvalues
+are negative (an error), zero or kept, for roots, entropies and ensembles.
 """
 
 from __future__ import annotations
@@ -86,32 +87,40 @@ def eig_herm(a: np.ndarray, vectors: bool = True, tol: Tolerances = TOL) -> Spec
     return Spectrum(eigenvalues=lam, vectors=U)
 
 
-def _clamped_psd_eigs(eigs: np.ndarray, scale: float, tol: Tolerances) -> np.ndarray:
-    floor = -tol.psd_fail * max(scale, 1.0)
-    low = float(eigs.min(initial=0.0))
-    if low < floor:
+def support(spec: Spectrum,
+            tol: Tolerances = TOL) -> tuple[np.ndarray, np.ndarray | None]:
+    """The one spectral support rule: raise NotPSDError below
+    -tol.psd_fail * max(||A||, 1); keep the eigenvalues (and their vector
+    columns, or None) above tol.support_cutoff * max(||A||, 1), treating the
+    rest as 0. Eigenvalues descend, so the support is a prefix."""
+    lam = spec.eigenvalues
+    top, low = (float(lam[0]), float(lam[-1])) if lam.size else (0.0, 0.0)
+    scale = max(top, -low, 1.0)
+    if low < -tol.psd_fail * scale:
         raise NotPSDError(f"eigenvalue {low:.3e} is materially negative")
-    return np.clip(eigs, 0.0, None)
+    r = int(np.count_nonzero(lam > tol.support_cutoff * scale))
+    return lam[:r], None if spec.vectors is None else spec.vectors[:, :r]
 
 
 def sqrt_from_spectrum(spec: Spectrum, tol: Tolerances = TOL) -> np.ndarray:
-    """Hermitian square root rebuilt from an existing eigendecomposition."""
-    lam = _clamped_psd_eigs(spec.eigenvalues,
-                            float(abs(spec.eigenvalues).max(initial=0.0)), tol)
-    root = (spec.vectors * np.sqrt(lam)) @ spec.vectors.conj().T
+    """Hermitian square root rebuilt from an existing eigendecomposition's
+    support."""
+    lam, vecs = support(spec, tol)
+    root = (vecs * np.sqrt(lam)) @ vecs.conj().T
     return 0.5 * (root + root.conj().T)
 
 
 def psd_root(a: np.ndarray, tol: Tolerances = TOL) -> tuple[Spectrum, np.ndarray]:
-    """Spectrum and Hermitian square root of a PSD matrix from one eigensolve;
-    eigenvalues in [-psd_fail, 0) are clamped to 0. Checked against the input:
-    max |R R - A| <= tol.sqrt_square * ||A|| + the clamped amount + the
+    """Spectrum and Hermitian square root of a PSD matrix from one eigensolve,
+    taken on the support. Checked against the input: max |R R - A| <=
+    tol.sqrt_square * ||A|| + the largest dropped |eigenvalue| + the
     non-Hermitian part eig_herm lets through, tol.hermiticity * max(||A||, 1)."""
     spec = eig_herm(a, vectors=True, tol=tol)
     root = sqrt_from_spectrum(spec, tol)
     lam = spec.eigenvalues
     norm = float(np.abs(lam).max(initial=0.0))
-    bound = (tol.sqrt_square * norm - float(lam.min(initial=0.0))
+    dropped = lam[support(spec, tol)[0].size:]
+    bound = (tol.sqrt_square * norm + float(np.abs(dropped).max(initial=0.0))
              + tol.hermiticity * max(norm, 1.0))
     err = float(np.abs(root @ root - a).max(initial=0.0))
     if not err <= bound:

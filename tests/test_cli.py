@@ -603,3 +603,15 @@ def test_rdm_files_with_non_finite_entries_exit_2(tmp_path, capsys, header, bad)
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
         assert captured.err.startswith("fermient: error: row 2 has a non-finite entry")
+
+
+@pytest.mark.parametrize("argv", [["entropy"], ["rdm", "--k", "1"]])
+def test_indefinite_rdm_file_exits_2(tmp_path, capsys, argv):
+    # trace 1, eigenvalues 1.5 and -0.5: no density matrix, so no entropy
+    p = tmp_path / "indefinite.fermirdm"
+    p.write_text("fermirdm 2 1 unit\n1.5 0 0 0\n0 0 -0.5 0\n")
+    assert cli.main([argv[0], str(p), *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("fermient: error: ") and err.count("\n") == 1
+    assert "negative" in err

@@ -540,6 +540,20 @@ def test_min_s2_search_quick():
         min_s2_search(3, 1, opts)
 
 
+@pytest.mark.parametrize("field, value", [("restarts", 0), ("restarts", -1),
+                                          ("iters", -1)])
+def test_min_s2_search_refuses_bad_options(field, value):
+    opts = dataclasses.replace(MinS2Options(restarts=1, iters=0), **{field: value})
+    with pytest.raises(ShapeError, match=field):
+        min_s2_search(4, 2, opts)
+
+
+def test_min_s2_search_with_no_iters_keeps_its_random_starts():
+    res = min_s2_search(4, 2, MinS2Options(restarts=3, iters=0))
+    assert res.evaluations == 3
+    assert res.gap >= -1e-6
+
+
 def test_nbody_elem_cross_check_skipped_past_capacity():
     st = random_pure_state(RankedBasis(8, 4), seed=5)
     terms = math.comb(8, 4)

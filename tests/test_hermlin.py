@@ -17,7 +17,8 @@ from fermient import (
     sqrt_psd,
     trace_product,
 )
-from fermient import hermlin
+from fermient import EfOptions, hermlin, suites
+from fermient.statekit import ginibre_density, seeded_rng
 
 
 def _random_hermitian(n, seed, psd=False):
@@ -236,3 +237,27 @@ def test_eig_phase_ties_resolve_to_the_first_entry(seed):
     u = eig_herm(a * rng.uniform(0.5, 2.0)).vectors[:, 0]
     assert u[0].imag == 0.0 and u[0].real > 0.0
     np.testing.assert_allclose(u, v, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_sqrt_psd_of_rank_deficient_kron_is_the_kron_of_roots(d, seed):
+    # the zero eigenvalues of a product of low-rank factors carry no root
+    rng = seeded_rng(seed, d)
+    for rank1 in range(1, d):
+        for rank2 in range(1, d):
+            r1 = ginibre_density(rng, d, rank1)
+            r2 = ginibre_density(rng, d, rank2)
+            want = kron(sqrt_psd(r1), sqrt_psd(r2))
+            assert np.abs(sqrt_psd(kron(r1, r2)) - want).max() <= 1e-12
+
+
+def test_subadd_reports_ignore_the_null_space_basis(monkeypatch):
+    run = suites.SuiteRun(seed=1, n_random=12, M=None, N=None, states=(), tol=TOL,
+                          ef=EfOptions())
+    want = [rep.slack for rep in suites.subadd(run)]
+    monkeypatch.setattr(hermlin, "_cluster_basis", lambda v, rel: v)
+    _mixing_eigh(monkeypatch, seed=5)
+    got = [rep.slack for rep in suites.subadd(run)]
+    assert len(got) == len(want)
+    assert np.abs(np.subtract(got, want)).max() <= 1e-12

@@ -78,3 +78,14 @@ def test_every_tolerance_and_capacity_is_read():
     fields = {f.name for record in (Tolerances, Capacities)
               for f in dataclasses.fields(record)}
     assert sorted(fields - read) == ["jacobi_max_sweeps"]
+
+
+def test_spectral_support_is_judged_only_in_hermlin():
+    # hermlin.support alone compares eigenvalues with support_cutoff or psd_fail
+    sites = [f"{name}:{node.lineno}" for name, tree in _trees().items()
+             if name != "hermlin.py"
+             for node in ast.walk(tree) if isinstance(node, ast.Compare)
+             for operand in ast.walk(node)
+             if isinstance(operand, ast.Attribute)
+             and operand.attr in ("support_cutoff", "psd_fail")]
+    assert sites == []
