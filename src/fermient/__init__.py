@@ -31,8 +31,8 @@ from .rdmcore import (PHYSICS, UNIT, ReducedDM, TensorDM, brute_force_reduce,
 from .report import BoundReport, bound_report, fmt17, report_json_line
 from .entmeasures import (EfOptions, EfResult, EnsembleDecomposition,
                           ExtensionSpec, MinS2Options, MinS2Result,
-                          YangAnalytics, ef_fermionic_excess, ef_optimize,
-                          elem_sym, elem_sym_det, elem_sym_direct,
+                          YangAnalytics, ef_exact_m4, ef_fermionic_excess,
+                          ef_optimize, elem_sym, elem_sym_det, elem_sym_direct,
                           entropy_of_probs, extension_spec_from_tripartite,
                           min_s2_search, mutual_info_bounds, nbody_elem_bound,
                           purity, slater_extension_spec, slater_squashed_bound,

@@ -20,10 +20,11 @@ Output contract:
     aligned text table;
   * exit codes: 0 success / all bounds hold, 1 bound violation,
     2 usage, configuration or input error (malformed ranges or mode lists,
-    negative tolerances or --random counts, fewer than one E_f restart, sweep
-    or --jobs worker, malformed or non-ASCII input files), 3 capacity guard,
-    4 numerical failure (a result failed its accuracy check) or any other
-    crash, so that a crash never reads as a violated bound.
+    negative tolerances, --random counts or seeds, fewer than one E_f
+    restart, sweep or --jobs worker, malformed or non-ASCII input files),
+    3 capacity guard, 4 numerical failure (a result failed its accuracy
+    check) or any other crash, so that a crash never reads as a violated
+    bound.
 """
 
 from __future__ import annotations
@@ -530,7 +531,7 @@ def main(argv=None) -> int:
     if extra:   # refused by the call's own parser, whose usage lists what it takes
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        for name, low in (("random", 0), ("jobs", 1)):    # least valid counts
+        for name, low in (("random", 0), ("seed", 0), ("jobs", 1)):   # least valid values
             if getattr(args, name, low) < low:
                 raise FermientError(
                     f"--{name} must be at least {low}, got {getattr(args, name)}")

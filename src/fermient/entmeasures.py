@@ -10,10 +10,13 @@ Conventions:
     (the trace form equals 1 - (1/2) Tr[(sqrt(rho12) - sqrt(rho1 x rho2))^2]).
   * ef_optimize upper-bounds the entanglement of formation by minimizing the
     average marginal entropy over pure-state ensembles parametrized through
-    the mixture (Schroedinger-HJW) theorem: member_k ~ sum_j conj(V)_{kj}
-    sqrt(mu_j) phi_j with V an isometry, optimized by two-row rotations:
-    each pair scores a (theta, phi) grid, then batched zoom grids, from one
-    batched eigvalsh of the candidates' reduced Grams per grid.
+    the mixture (Schroedinger-HJW) theorem: members w = U x, with x the rows
+    sqrt(mu_j) phi_j and U an L x r isometry. Each restart runs a conjugate
+    gradient descent on U (one batched eigh of the members' reduced Grams per
+    evaluation), then a short polish of two-row rotations, each pair scoring
+    a (theta, phi) grid in one batched eigvalsh. A restart that reaches the
+    proven minimum (ln 2 on antisymmetric inputs) ends the run.
+    ef_exact_m4 gives the exact value on four modes.
   * squashed_extension_value(ext) = (1/2)(-S123 - S3 + S13 + S23) for a
     tripartite extension of rho12; nonnegative by strong subadditivity.
 """
@@ -29,7 +32,7 @@ import numpy as np
 from .config import CAP, TOL, Capacities, Tolerances
 from .errors import (CapacityError, NormalizationError, RangeError,
                      ShapeError)
-from .fockbasis import RankedBasis
+from .fockbasis import RankedBasis, colex_masks, merge_sign
 from .hermlin import Spectrum, eig_herm, kron, psd_root, support, trace_product
 from .rdmcore import (ReducedDM, TensorDM, UNIT, reduce_amplitudes,
                       reduce_mixed, reduce_pure, tensor_ptrace)
@@ -62,16 +65,21 @@ def _density_matrix_of(obj) -> np.ndarray:
     return np.asarray(obj)
 
 
+def _unit_trace(mat: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """mat itself, once its trace is 1 within tol.unit_trace."""
+    tr = float(np.trace(mat).real)
+    if abs(tr - 1.0) > tol.unit_trace:
+        raise NormalizationError(f"trace {tr!r} is not 1 within {tol.unit_trace}")
+    return mat
+
+
 def vn_entropy(obj, tol: Tolerances = TOL) -> float:
     """von Neumann entropy in nats of a unit-trace density matrix or Spectrum,
     -sum lambda ln lambda over its support."""
     if isinstance(obj, Spectrum):
         spec = obj
     else:
-        mat = _density_matrix_of(obj)
-        tr = float(np.trace(mat).real)
-        if abs(tr - 1.0) > tol.unit_trace:
-            raise NormalizationError(f"trace {tr!r} is not 1 within {tol.unit_trace}")
+        mat = _unit_trace(_density_matrix_of(obj), tol)
         spec = eig_herm(mat, vectors=False, tol=tol)
     total = float(np.sum(spec.eigenvalues))
     if abs(total - 1.0) > tol.unit_trace:
@@ -345,30 +353,38 @@ class EfResult:
 
 # The pair objective has period pi/2 in theta: theta + pi/2 maps the pair to
 # (u bot, -conj(u) top), and entropies ignore those phases. With phi in
-# [0, pi) (phi + pi is theta -> -theta) the coarse grid covers every rotation.
+# [0, pi) (phi + pi is theta -> -theta) the grid covers every rotation.
 _ANGLES = np.linspace(0.0, math.pi / 2, 6, endpoint=False)
 _PHASES = np.linspace(0.0, math.pi, 6, endpoint=False)
-# zoom refinement: the 8 neighbours of the best point on a 3x3 grid that
-# spans one coarse step each way and halves after each of _ZOOM_LEVELS levels
-# (7x7 grids at 5 levels reached the same E_f values on the verify corpus in
-# more time)
-_ZOOM_LEVELS = 8
 _TINY = 1e-18
 
 _COARSE_T, _COARSE_P = np.array([(t, p) for t in _ANGLES for p in _PHASES]).T
-_ZOOM_T, _ZOOM_P = np.array([(t, p) for t in (-1.0, 0.0, 1.0)
-                             for p in (-1.0, 0.0, 1.0) if t or p]).T
+
+# Whole-ensemble descent on the isometry: at most _DESCENT_STEPS conjugate
+# gradient steps per restart, Armijo backtracking with constant _ARMIJO, ended
+# early by a squared gradient norm below _GRAD_FLOOR, a step below _STEP_FLOOR
+# or a value within _FLOOR_GAP of the floor. Eigenvalues are clipped at
+# _LOG_CLIP before the log of a reduced Gram.
+_DESCENT_STEPS = 100
+_ARMIJO = 1e-4
+_GRAD_FLOOR = 1e-24
+_STEP_FLOOR = 1e-10
+_FLOOR_GAP = 1e-12
+_LOG_CLIP = 1e-300
 
 
-def _gram_contribs(grams: np.ndarray) -> np.ndarray:
+def _spectrum_contribs(p: np.ndarray) -> np.ndarray:
     """Per-Gram weight*entropy: -sum p ln p + lam ln lam with p the
     eigenvalues of the (unnormalized) reduced Gram and lam = sum p."""
-    p = np.linalg.eigvalsh(grams)
     safe = np.where(p > _TINY, p, 1.0)
     ent = -(p * np.log(safe)).sum(axis=-1)
     lam = p.sum(axis=-1)
     lam_safe = np.where(lam > _TINY, lam, 1.0)
     return ent + lam * np.log(lam_safe)
+
+
+def _gram_contribs(grams: np.ndarray) -> np.ndarray:
+    return _spectrum_contribs(np.linalg.eigvalsh(grams))
 
 
 def _member_contribs(rows: np.ndarray, d1: int, d2: int) -> np.ndarray:
@@ -402,40 +418,109 @@ def _pair_objective(wk: np.ndarray, wl: np.ndarray, thetas: np.ndarray,
 
 
 def _best_pair_rotation(wk: np.ndarray, wl: np.ndarray, d1: int, d2: int,
-                        base: float):
-    """Coarse (theta, phi) grid, then batched zoom grids around the best point.
-
-    Refinement runs only when the grid already beats `base`, so converged
-    pairs cost a single batched scan. Each zoom level is one batched call on
-    the grid around the current best point, and it moves the point only to a
-    strictly lower value.
-    """
+                        _base: float | None = None):
+    """Best (theta, phi, value) of the pair on the (theta, phi) grid, from one
+    batched scan. The descent before the sweeps does the fine work, so no
+    refinement follows; the optional fifth argument, the pair's current
+    value, is accepted and not read."""
     vals = _pair_objective(wk, wl, _COARSE_T, _COARSE_P, d1, d2)
     i0 = int(np.argmin(vals))
-    theta, phi, val = float(_COARSE_T[i0]), float(_COARSE_P[i0]), float(vals[i0])
-    if val >= base - 1e-12:
-        return theta, phi, val
-    t_span, p_span = _ANGLES[1], _PHASES[1]        # one coarse step
-    for _ in range(_ZOOM_LEVELS):
-        flat_t = theta + t_span * _ZOOM_T
-        flat_p = phi + p_span * _ZOOM_P
-        vals = _pair_objective(wk, wl, flat_t, flat_p, d1, d2)
-        i0 = int(np.argmin(vals))
-        if vals[i0] < val:
-            theta, phi, val = float(flat_t[i0]), float(flat_p[i0]), float(vals[i0])
-        t_span /= 2.0
-        p_span /= 2.0
-    return theta, phi, val
+    return float(_COARSE_T[i0]), float(_COARSE_P[i0]), float(vals[i0])
+
+
+def _ensemble_value_grad(iso: np.ndarray, x: np.ndarray,
+                         d: int) -> tuple[float, np.ndarray]:
+    """Total of the members w = iso @ x (the sum _gram_contribs gives) and its
+    gradient in conj(iso), from one batched eigh of the reduced Grams
+    P_k = A_k A_k^+ (A_k the d x d reshape of w_k): member k's gradient is
+    (ln lam_k - ln P_k) A_k with lam_k = Tr P_k, and the total's is
+    (member gradients) x^+."""
+    a = (iso @ x).reshape(-1, d, d)
+    p, v = np.linalg.eigh(a @ a.conj().swapaxes(-1, -2))
+    log_p = np.log(np.maximum(p, _LOG_CLIP))
+    log_lam = np.log(np.maximum(p.sum(axis=-1), _LOG_CLIP))
+    g = v @ ((log_lam[:, None, None] - log_p[:, :, None])
+             * (v.conj().swapaxes(-1, -2) @ a))
+    return float(_spectrum_contribs(p).sum()), g.reshape(len(a), -1) @ x.conj().T
+
+
+def _tangent(iso: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Projection of g onto the tangent space of the isometries at iso."""
+    h = iso.conj().T @ g
+    return g - iso @ (0.5 * (h + h.conj().T))
+
+
+def _retract(m: np.ndarray) -> np.ndarray:
+    """Q of m = QR with the phases of diag(R) moved into Q, so that a step of
+    length 0 returns the isometry itself."""
+    q, r = np.linalg.qr(m)
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
+
+
+def _real_inner(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.vdot(a, b).real)
+
+
+def _descend(iso: np.ndarray, x: np.ndarray, d: int, floor: float) -> np.ndarray:
+    """Polak-Ribiere+ conjugate gradient over the isometries (L x r) with
+    QR retraction (Audenaert, Verstraete & De Moor, PRA 64, 052304 (2001)).
+
+    The previous direction is carried over by projecting it at the new point,
+    and replaced by the steepest descent direction when it does not descend.
+    The step shrinks (at least halving) until the Armijo condition holds and
+    doubles after each accepted step.
+    """
+    value, g = _ensemble_value_grad(iso, x, d)
+    xi = _tangent(iso, g)
+    direction = -xi
+    step = 1.0
+    for _ in range(_DESCENT_STEPS):
+        norm2 = _real_inner(xi, xi)
+        if norm2 < _GRAD_FLOOR or value - floor <= _FLOOR_GAP:
+            break
+        slope = 2.0 * _real_inner(xi, direction)     # d value / d step
+        if slope >= 0.0:
+            direction = -xi
+            slope = -2.0 * norm2
+        while True:
+            cand = _retract(iso + step * direction)
+            cand_value, cand_g = _ensemble_value_grad(cand, x, d)
+            if cand_value <= value + _ARMIJO * step * slope:
+                break
+            # the minimizer of the quadratic through value, slope and
+            # cand_value (curv > 0 once the Armijo test fails), kept within
+            # [step / 10, step / 2]
+            curv = cand_value - value - slope * step
+            step = max(0.1 * step, min(0.5 * step, -0.5 * slope * step * step / curv))
+            if step < _STEP_FLOOR:
+                return iso
+        cand_xi = _tangent(cand, cand_g)
+        beta = max(0.0, _real_inner(cand_xi, cand_xi - _tangent(cand, xi)) / norm2)
+        direction = beta * _tangent(cand, direction) - cand_xi
+        iso, value, xi = cand, cand_value, cand_xi
+        step *= 2.0
+    return iso
+
+
+def _ef_floor(rho: np.ndarray, d: int, tol: Tolerances) -> float:
+    """The proven minimum of E_f for rho: ln 2 when rho lives on the
+    antisymmetric subspace (SWAP rho = -rho), else 0."""
+    swapped = rho.reshape(d, d, d * d).swapaxes(0, 1).reshape(d * d, d * d)
+    return LN2 if np.abs(swapped + rho).max() <= tol.hermiticity else 0.0
 
 
 def ef_optimize(t: TensorDM, opts: EfOptions | None = None,
                 tol: Tolerances = TOL, cap: Capacities = CAP) -> EfResult:
     """Upper bound on the entanglement of formation of a two-party state.
 
-    Deterministic for fixed (input, opts.seed): restarts draw from the
-    streams seeded_rng(seed, restart) and the winner is the first restart
+    Each restart descends over the ensemble isometry (`_descend`), then
+    polishes the members with at most opts.max_iters sweeps of two-row
+    rotations. Deterministic for fixed (input, opts.seed): restarts draw from
+    the streams seeded_rng(seed, restart) and the winner is the first restart
     attaining the best value. A restart has converged once a sweep lowers
-    the total by at most tol.ef_sweep_tol.
+    the total by at most tol.ef_sweep_tol. Once a restart ends within
+    _FLOOR_GAP of the proven minimum (`_ef_floor`) the rest are skipped.
     """
     opts = opts or EfOptions()
     if opts.restarts < 1:
@@ -445,10 +530,7 @@ def ef_optimize(t: TensorDM, opts: EfOptions | None = None,
     if t.parties != 2:
         raise ShapeError("ef_optimize needs a two-party density matrix")
     d = t.local_dim
-    rho = t.dense()
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > tol.unit_trace:
-        raise NormalizationError(f"trace {tr!r} is not 1 within {tol.unit_trace}")
+    rho = _unit_trace(t.dense(), tol)
     mu, phi = support(eig_herm(rho, vectors=True, tol=tol), tol)
     r = int(mu.size)
     if r > cap.ef_rank:
@@ -472,6 +554,7 @@ def ef_optimize(t: TensorDM, opts: EfOptions | None = None,
         contribs = _member_contribs(w, d, d)
         return _finish(float(contribs.sum()), w, True, 0, 0)
 
+    floor = _ef_floor(rho, d, tol)
     best = None
     for restart in range(opts.restarts):
         if restart == 0:
@@ -480,7 +563,7 @@ def ef_optimize(t: TensorDM, opts: EfOptions | None = None,
             iso[:r, :r] = np.eye(r)
         else:
             iso, _ = np.linalg.qr(complex_normal(seeded_rng(opts.seed, restart), L, r))
-        w = iso @ x
+        w = _descend(iso, x, d, floor) @ x
         contribs = _member_contribs(w, d, d)
         total = float(contribs.sum())
         converged = False
@@ -498,8 +581,10 @@ def ef_optimize(t: TensorDM, opts: EfOptions | None = None,
                         continue
                     scanned[k, l] = (version[k], version[l])
                     base = contribs[k] + contribs[l]
-                    theta, phi, val = _best_pair_rotation(w[k], w[l], d, d, base)
-                    if val < base - 1e-15:
+                    theta, phi, val = _best_pair_rotation(w[k], w[l], d, d)
+                    # theta = 0 is the identity, whatever the two summation
+                    # routes read
+                    if theta != 0.0 and val < base - 1e-15:
                         version[k] += 1
                         version[l] += 1
                         c = math.cos(theta)
@@ -514,6 +599,8 @@ def ef_optimize(t: TensorDM, opts: EfOptions | None = None,
                 break
         if best is None or total < best[0]:
             best = (total, w.copy(), converged, sweeps, restart)
+        if total - floor <= _FLOOR_GAP:
+            break
     return _finish(*best)
 
 
@@ -530,6 +617,35 @@ def _finish(value: float, w: np.ndarray, converged: bool, sweeps: int,
 def ef_fermionic_excess(value: float) -> float:
     """Distance of an E_f value above the fermionic floor ln 2."""
     return value - LN2
+
+
+def ef_exact_m4(rdm: ReducedDM, tol: Tolerances = TOL) -> float:
+    """Exact E_f of a unit 2-RDM on four modes, embedded as by
+    embed_wedge_to_tensor (Schliemann, Cirac, Kus, Lewenstein & Loss, PRA 64,
+    022303 (2001)).
+
+    With rho = X X^+ (X the support columns sqrt(mu) phi) and D the signed
+    Hodge dual on the colex wedge basis (e_I -> sign(I, J) e_J, J the
+    complement of I), C = max(0, l_1 - sum_{i>=2} l_i) over the descending
+    singular values l of X^T D X, and E_f = ln 2 + h((1 + sqrt(1 - C^2)) / 2)
+    with h the binary entropy in nats.
+    """
+    if rdm.k != 2 or rdm.basis.n_modes != 4:
+        raise ShapeError(f"ef_exact_m4 needs a 2-RDM on 4 modes, got k={rdm.k}, "
+                         f"M={rdm.basis.n_modes}")
+    mat = _unit_trace(_density_matrix_of(rdm), tol)
+    mu, phi = support(eig_herm(mat, vectors=True, tol=tol), tol)
+    x = phi * np.sqrt(mu)
+    masks = colex_masks(4, 2)
+    dual = np.zeros((masks.size, masks.size))
+    for i, mask in enumerate(masks.tolist()):
+        comp = 0b1111 ^ mask
+        dual[np.searchsorted(masks, comp), i] = merge_sign(mask, comp)
+    lam = np.linalg.svd(x.T @ dual @ x, compute_uv=False)
+    conc = max(0.0, float(lam[0] - lam[1:].sum()))
+    # (1 - sqrt(1 - C^2)) / 2 without the cancellation at small C
+    q = conc * conc / (2.0 * (1.0 + math.sqrt(max(0.0, 1.0 - conc * conc))))
+    return LN2 + entropy_of_probs(np.array([1.0 - q, q]), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,17 @@ def test_malformed_values_exit_2(argv, capsys):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "mutual", "--M", "4", "--random", "0", "--seed", "-1"],
+    ["state", "random", "--M", "4", "--N", "2", "--seed", "-1"],
+])
+def test_negative_seeds_exit_2(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "fermient: error: --seed must be at least 0, got -1\n"
+
+
 def test_verify_empty_selection_is_usage_error(capsys):
     assert cli.main(["verify", "mutual", "--M", "99", "--random", "3"]) == 2
     captured = capsys.readouterr()

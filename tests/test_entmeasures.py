@@ -10,12 +10,15 @@ from fermient import (
     EfOptions,
     MinS2Options,
     NormalizationError,
+    PureStateN,
     RangeError,
     RankedBasis,
     ShapeError,
     TensorDM,
     YangParams,
+    colex_masks,
     convex_mixture,
+    ef_exact_m4,
     ef_fermionic_excess,
     ef_optimize,
     eig_herm,
@@ -47,7 +50,7 @@ from fermient import (
     yang_analytics,
     yang_state,
 )
-from fermient import TOL, NumericalError, entmeasures, hermlin
+from fermient import TOL, NumericalError, entmeasures, hermlin, statekit
 from fermient.rdmcore import PHYSICS, tensor_ptrace
 from fermient.report import report_json_line
 
@@ -582,3 +585,115 @@ def test_ef_never_rescans_a_pair_with_unchanged_rows(monkeypatch):
     res = ef_optimize(t, EfOptions(ensemble_size="rank", restarts=1, max_iters=4))
     L = res.decomposition.weights.size
     assert 0 < len(seen) < res.sweeps * L * (L - 1) // 2
+
+
+def test_ef_never_accepts_the_identity_rotation(monkeypatch):
+    # a scan whose best point is theta = 0 may read below the members' total,
+    # which sums another way; accepting it would rescan rows left unchanged
+    t = _pair_tensor(random_pure_state(RankedBasis(6, 4), seed=3))
+    real = entmeasures._best_pair_rotation
+    seen = set()
+    planted = []
+
+    def at_optimum(wk, wl, *rest):
+        key = (wk.tobytes(), wl.tobytes())
+        assert key not in seen
+        seen.add(key)
+        theta, phi, val = real(wk, wl, *rest)
+        if theta == 0.0:
+            planted.append(key)
+            val -= 1e-14
+        return theta, phi, val
+
+    monkeypatch.setattr(entmeasures, "_best_pair_rotation", at_optimum)
+    res = ef_optimize(t, EfOptions(ensemble_size="rank", restarts=1, max_iters=4))
+    assert planted and res.sweeps >= 2
+
+
+def _planted_slater_mixture(M, n_det, seed):
+    """Two-fermion mixture of n_det determinants phi ^ chi of random
+    orthonormal orbitals: its E_f is exactly ln 2."""
+    rng = statekit.seeded_rng(seed)
+    masks = colex_masks(M, 2)
+    lo = np.array([(m & -m).bit_length() - 1 for m in masks.tolist()])
+    hi = np.array([m.bit_length() - 1 for m in masks.tolist()])
+    states = []
+    for _ in range(n_det):
+        orb, _ = np.linalg.qr(statekit.complex_normal(rng, M, 2))
+        phi, chi = orb[:, 0], orb[:, 1]
+        amps = phi[lo] * chi[hi] - phi[hi] * chi[lo]
+        states.append(PureStateN(RankedBasis(M, 2), amps / np.linalg.norm(amps)))
+    w = rng.random(n_det) + 0.2
+    return convex_mixture(list(w / w.sum()), states)
+
+
+def test_ef_exact_m4_is_the_member_entropy_on_pure_states():
+    for seed in range(6):
+        st = random_pure_state(RankedBasis(4, 2), seed=seed)
+        assert ef_exact_m4(reduce_pure(st, 2)) == pytest.approx(
+            vn_entropy(reduce_pure(st, 1)), abs=1e-12)
+    assert ef_exact_m4(reduce_pure(slater_state(RankedBasis(4, 2), (1, 3)), 2)) == LN2
+
+
+def test_ef_exact_m4_is_ln2_on_planted_slater_mixtures():
+    for n_det in (2, 3, 4):
+        for seed in range(4):
+            r = reduce_mixed(_planted_slater_mixture(4, n_det, seed), 2)
+            assert ef_exact_m4(r) == pytest.approx(LN2, abs=1e-10), (n_det, seed)
+
+
+def test_ef_exact_m4_refuses_other_shapes():
+    with pytest.raises(ShapeError):
+        ef_exact_m4(reduce_pure(random_pure_state(RankedBasis(5, 2), seed=1), 2))
+    with pytest.raises(ShapeError):
+        ef_exact_m4(reduce_pure(random_pure_state(RankedBasis(4, 3), seed=1), 1))
+    with pytest.raises(NormalizationError):
+        ef_exact_m4(rescale(reduce_pure(random_pure_state(RankedBasis(4, 3), seed=1), 2),
+                            PHYSICS))
+
+
+CLI_EF = EfOptions(ensemble_size="rank", restarts=2, max_iters=4)
+
+
+@pytest.mark.parametrize("M", [4, 6])
+def test_ef_reaches_ln2_on_planted_slater_mixtures(M):
+    for n_det in (2, 3, 4):
+        for seed in range(3):
+            r = reduce_mixed(_planted_slater_mixture(M, n_det, seed), 2)
+            value = ef_optimize(embed_wedge_to_tensor(r), CLI_EF).value
+            assert value == pytest.approx(LN2, abs=1e-8), (n_det, seed)
+            if M == 4:
+                assert value == pytest.approx(ef_exact_m4(r), abs=1e-8), (n_det, seed)
+
+
+def _count_random_restarts(monkeypatch):
+    drawn = []
+    real = entmeasures.complex_normal
+
+    def counting(rng, *shape):
+        drawn.append(shape)
+        return real(rng, *shape)
+
+    monkeypatch.setattr(entmeasures, "complex_normal", counting)
+    return drawn
+
+
+def test_ef_floor_exit_skips_the_remaining_restarts(monkeypatch):
+    drawn = _count_random_restarts(monkeypatch)
+    opts = EfOptions(restarts=20)
+    projection = _pair_tensor(slater_state(RankedBasis(4, 2), (0, 1)))
+    mixture = _pair_tensor(_planted_slater_mixture(4, 3, 0))
+    for t in (projection, mixture):
+        res = ef_optimize(t, opts)
+        assert res.restart == 0
+        assert res.value == pytest.approx(LN2, abs=1e-12)
+    assert drawn == []
+
+
+def test_ef_floor_exit_needs_an_antisymmetric_state(monkeypatch):
+    # generic two-party states can go below ln 2, so only 0 ends them early
+    drawn = _count_random_restarts(monkeypatch)
+    res = ef_optimize(random_two_party_dm(3, rank=3, seed=2),
+                      dataclasses.replace(CLI_EF, restarts=3))
+    assert len(drawn) == 2
+    assert res.value < LN2
