@@ -470,7 +470,7 @@ def _leaf(sub, name: str, func, options: dict, formats: tuple[str, ...] = (),
     """A call's parser: `options` (flag -> add_argument keywords), then --tol,
     --format where the call reads it, --out and --stamp. Flags must be spelled
     out: a prefix could name another option (`--M` of `--M-range`)."""
-    p = sub.add_parser(name, allow_abbrev=False, **kw)
+    p = sub.add_parser(name, allow_abbrev=False, description=kw.get("help"), **kw)
     for flag, spec in options.items():
         p.add_argument(flag, **spec)
     p.add_argument("--tol", action="append", metavar="NAME=VALUE",
@@ -518,7 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--numeric": {"action": "store_true",
                       "help": "cross-check against the numeric 2-RDM"},
         "--bits": {"action": "store_true"},
-    }, _TABLE_FORMATS, help="closed-form pair-state analytics")
+    }, _TABLE_FORMATS, help="closed-form pair-state analytics (ef_paper and "
+                            "ef_alt are not the 2-RDM's E_f for n >= 2)")
     _group(sub, "verify", "suite", cmd_verify, _VERIFY_OPTIONS, _VERIFY_SUITES,
            ("json", "csv", "text"), help="run bound suites, one JSON line per report")
     _group(sub, "sweep", "quantity", cmd_sweep, _SWEEP_OPTIONS, _SWEEP_QUANTITIES,

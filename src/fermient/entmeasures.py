@@ -12,11 +12,13 @@ Conventions:
     average marginal entropy over pure-state ensembles parametrized through
     the mixture (Schroedinger-HJW) theorem: members w = U x, with x the rows
     sqrt(mu_j) phi_j and U an L x r isometry. Each restart runs a conjugate
-    gradient descent on U (one batched eigh of the members' reduced Grams per
-    evaluation), then a short polish of two-row rotations, each pair scoring
-    a (theta, phi) grid in one batched eigvalsh. A restart that reaches the
-    proven minimum (ln 2 on antisymmetric inputs) ends the run.
-    ef_exact_m4 gives the exact value on four modes.
+    gradient descent on U (`_descend`; one batched eigh of the members'
+    reduced Grams per evaluation, `_gram_entropy_grad`), then a short polish
+    of two-row rotations, each pair scoring a (theta, phi) grid in one batched
+    eigvalsh. A restart that reaches the proven minimum (ln 2 on antisymmetric
+    inputs) ends the run. ef_exact_m4 gives the exact value on four modes.
+  * min_s2_search runs the same descent and kernel on unit amplitude vectors
+    (one-column isometries), the gradient scattered through the gather table.
   * squashed_extension_value(ext) = (1/2)(-S123 - S3 + S13 + S23) for a
     tripartite extension of rho12; nonnegative by strong subadditivity.
 """
@@ -34,8 +36,8 @@ from .errors import (CapacityError, NormalizationError, RangeError,
                      ShapeError)
 from .fockbasis import RankedBasis, colex_masks, merge_sign
 from .hermlin import Spectrum, eig_herm, kron, psd_root, support, trace_product
-from .rdmcore import (ReducedDM, TensorDM, UNIT, reduce_amplitudes,
-                      reduce_mixed, reduce_pure, tensor_ptrace)
+from .rdmcore import (ReducedDM, TensorDM, UNIT, gather_amplitudes, reduce_mixed,
+                      reduce_pure, scatter_amplitudes, tensor_ptrace)
 from .report import BoundReport, bound_report
 from .statekit import (MixedStateN, PureStateN, YangParams, as_mixture,
                        complex_normal, seeded_rng, slater_state)
@@ -360,11 +362,11 @@ _TINY = 1e-18
 
 _COARSE_T, _COARSE_P = np.array([(t, p) for t in _ANGLES for p in _PHASES]).T
 
-# Whole-ensemble descent on the isometry: at most _DESCENT_STEPS conjugate
-# gradient steps per restart, Armijo backtracking with constant _ARMIJO, ended
-# early by a squared gradient norm below _GRAD_FLOOR, a step below _STEP_FLOOR
-# or a value within _FLOOR_GAP of the floor. Eigenvalues are clipped at
-# _LOG_CLIP before the log of a reduced Gram.
+# Descent on isometries (E_f ensembles, min-S2 unit vectors): E_f takes at most
+# _DESCENT_STEPS conjugate gradient steps per restart; Armijo backtracking with
+# constant _ARMIJO, ended early by a squared gradient norm below _GRAD_FLOOR, a
+# step below _STEP_FLOOR or a value within _FLOOR_GAP of the floor.
+# Eigenvalues are clipped at _LOG_CLIP before the log of a Gram.
 _DESCENT_STEPS = 100
 _ARMIJO = 1e-4
 _GRAD_FLOOR = 1e-24
@@ -383,14 +385,10 @@ def _spectrum_contribs(p: np.ndarray) -> np.ndarray:
     return ent + lam * np.log(lam_safe)
 
 
-def _gram_contribs(grams: np.ndarray) -> np.ndarray:
-    return _spectrum_contribs(np.linalg.eigvalsh(grams))
-
-
 def _member_contribs(rows: np.ndarray, d1: int, d2: int) -> np.ndarray:
     """Per-row weight*entropy of the first party's marginal."""
     mats = rows.reshape(-1, d1, d2)
-    return _gram_contribs(mats @ mats.conj().swapaxes(-1, -2))
+    return _spectrum_contribs(np.linalg.eigvalsh(mats @ mats.conj().swapaxes(-1, -2)))
 
 
 def _pair_objective(wk: np.ndarray, wl: np.ndarray, thetas: np.ndarray,
@@ -412,7 +410,8 @@ def _pair_objective(wk: np.ndarray, wl: np.ndarray, thetas: np.ndarray,
     cs_u = c * s * np.exp(1j * phis)
     coef = np.stack([c * c, s * s, cs_u.conj(), cs_u], axis=1)
     top = (coef @ basis.reshape(4, d1 * d1)).reshape(-1, d1, d1)
-    contribs = _gram_contribs(np.concatenate([top, basis[0] + basis[1] - top]))
+    grams = np.concatenate([top, basis[0] + basis[1] - top])
+    contribs = _spectrum_contribs(np.linalg.eigvalsh(grams))
     half = len(c)
     return contribs[:half] + contribs[half:]
 
@@ -428,20 +427,24 @@ def _best_pair_rotation(wk: np.ndarray, wl: np.ndarray, d1: int, d2: int,
     return float(_COARSE_T[i0]), float(_COARSE_P[i0]), float(vals[i0])
 
 
-def _ensemble_value_grad(iso: np.ndarray, x: np.ndarray,
-                         d: int) -> tuple[float, np.ndarray]:
-    """Total of the members w = iso @ x (the sum _gram_contribs gives) and its
-    gradient in conj(iso), from one batched eigh of the reduced Grams
-    P_k = A_k A_k^+ (A_k the d x d reshape of w_k): member k's gradient is
-    (ln lam_k - ln P_k) A_k with lam_k = Tr P_k, and the total's is
-    (member gradients) x^+."""
-    a = (iso @ x).reshape(-1, d, d)
+def _gram_entropy_grad(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """Sum of _spectrum_contribs over the Grams P_k = A_k A_k^+ of a stack of
+    d1 x d2 matrices A_k, and its gradient in conj(A), from one batched eigh:
+    (ln lam_k - ln P_k) A_k with lam_k = Tr P_k."""
     p, v = np.linalg.eigh(a @ a.conj().swapaxes(-1, -2))
     log_p = np.log(np.maximum(p, _LOG_CLIP))
     log_lam = np.log(np.maximum(p.sum(axis=-1), _LOG_CLIP))
     g = v @ ((log_lam[:, None, None] - log_p[:, :, None])
              * (v.conj().swapaxes(-1, -2) @ a))
-    return float(_spectrum_contribs(p).sum()), g.reshape(len(a), -1) @ x.conj().T
+    return float(_spectrum_contribs(p).sum()), g
+
+
+def _ensemble_value_grad(iso: np.ndarray, x: np.ndarray,
+                         d: int) -> tuple[float, np.ndarray]:
+    """Total of the members w = iso @ x (A_k the d x d reshape of w_k) and its
+    gradient in conj(iso), the member gradients times x^+."""
+    value, g = _gram_entropy_grad((iso @ x).reshape(-1, d, d))
+    return value, g.reshape(len(g), -1) @ x.conj().T
 
 
 def _tangent(iso: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -458,34 +461,32 @@ def _retract(m: np.ndarray) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
-def _real_inner(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.vdot(a, b).real)
-
-
-def _descend(iso: np.ndarray, x: np.ndarray, d: int, floor: float) -> np.ndarray:
+def _descend(iso: np.ndarray, value_grad, floor: float,
+             steps: int) -> tuple[np.ndarray, float]:
     """Polak-Ribiere+ conjugate gradient over the isometries (L x r) with
-    QR retraction (Audenaert, Verstraete & De Moor, PRA 64, 052304 (2001)).
+    QR retraction (Audenaert, Verstraete & De Moor, PRA 64, 052304 (2001)) of
+    value_grad(iso) -> (value, gradient in conj(iso)); returns (iso, value).
 
     The previous direction is carried over by projecting it at the new point,
     and replaced by the steepest descent direction when it does not descend.
     The step shrinks (at least halving) until the Armijo condition holds and
     doubles after each accepted step.
     """
-    value, g = _ensemble_value_grad(iso, x, d)
+    value, g = value_grad(iso)
     xi = _tangent(iso, g)
     direction = -xi
     step = 1.0
-    for _ in range(_DESCENT_STEPS):
-        norm2 = _real_inner(xi, xi)
+    for _ in range(steps):
+        norm2 = np.vdot(xi, xi).real
         if norm2 < _GRAD_FLOOR or value - floor <= _FLOOR_GAP:
             break
-        slope = 2.0 * _real_inner(xi, direction)     # d value / d step
+        slope = 2.0 * np.vdot(xi, direction).real     # d value / d step
         if slope >= 0.0:
             direction = -xi
             slope = -2.0 * norm2
         while True:
             cand = _retract(iso + step * direction)
-            cand_value, cand_g = _ensemble_value_grad(cand, x, d)
+            cand_value, cand_g = value_grad(cand)
             if cand_value <= value + _ARMIJO * step * slope:
                 break
             # the minimizer of the quadratic through value, slope and
@@ -494,13 +495,13 @@ def _descend(iso: np.ndarray, x: np.ndarray, d: int, floor: float) -> np.ndarray
             curv = cand_value - value - slope * step
             step = max(0.1 * step, min(0.5 * step, -0.5 * slope * step * step / curv))
             if step < _STEP_FLOOR:
-                return iso
+                return iso, value
         cand_xi = _tangent(cand, cand_g)
-        beta = max(0.0, _real_inner(cand_xi, cand_xi - _tangent(cand, xi)) / norm2)
+        beta = max(0.0, np.vdot(cand_xi, cand_xi - _tangent(cand, xi)).real / norm2)
         direction = beta * _tangent(cand, direction) - cand_xi
         iso, value, xi = cand, cand_value, cand_xi
         step *= 2.0
-    return iso
+    return iso, value
 
 
 def _ef_floor(rho: np.ndarray, d: int, tol: Tolerances) -> float:
@@ -563,7 +564,9 @@ def ef_optimize(t: TensorDM, opts: EfOptions | None = None,
             iso[:r, :r] = np.eye(r)
         else:
             iso, _ = np.linalg.qr(complex_normal(seeded_rng(opts.seed, restart), L, r))
-        w = _descend(iso, x, d, floor) @ x
+        iso, _ = _descend(iso, lambda u: _ensemble_value_grad(u, x, d), floor,
+                          _DESCENT_STEPS)
+        w = iso @ x
         contribs = _member_contribs(w, d, d)
         total = float(contribs.sum())
         converged = False
@@ -713,7 +716,7 @@ class YangAnalytics:
 
     esq_bound_paper is the literature value for the squashed-entanglement
     bound; its direction is ambiguous in the source, so it is reported as an
-    upper-bound candidate only.
+    upper-bound candidate only. ef_paper and ef_alt exceed the 2-RDM's E_f when n >= 2.
     """
 
     m: int
@@ -767,16 +770,10 @@ def yang_analytics(p: YangParams) -> YangAnalytics:
 # ---------------------------------------------------------------------------
 # 2-RDM entropy minimization (observational search)
 
-# min-S2 step: first size, factor after a cycle with no gain, size that stops
-_MINS2_STEP = 0.5
-_MINS2_SHRINK = 0.5
-_MINS2_STEP_FLOOR = 1e-4
-
-
 @dataclass
 class MinS2Options:
     restarts: int = 50
-    iters: int = 600           # coordinate proposals per restart
+    iters: int = 600           # descent steps per restart, at most
     seed: int = 0
 
 
@@ -789,13 +786,23 @@ class MinS2Result:
     evaluations: int
 
 
+def _s2_value_grad(iso: np.ndarray, M: int, N: int) -> tuple[float, np.ndarray]:
+    """S(gamma_2) of the unit amplitude column iso (G = gather(iso) / sqrt(C(N,2))
+    through the Gram-entropy kernel) and its gradient in conj(iso), scattered back."""
+    scale = math.sqrt(math.comb(N, 2))
+    value, g = _gram_entropy_grad(gather_amplitudes(iso[:, 0], M, N, 2)[None] / scale)
+    return value, scatter_amplitudes(g[0], M, N, 2)[:, None] / scale
+
+
 def min_s2_search(M: int, N: int, opts: MinS2Options | None = None,
                   tol: Tolerances = TOL) -> MinS2Result:
-    """Gradient-free search for low 2-RDM entropy among pure (M, N) states.
+    """Gradient search for low 2-RDM entropy among pure (M, N) states.
 
-    Random restarts plus coordinate perturbations accepted on entropy
-    decrease. Records the best value found next to the single-determinant
-    reference ln C(N,2); it never asserts that the reference is minimal.
+    Each restart runs the E_f descent (`_descend`) from a random unit vector,
+    an isometry with one column, for at most opts.iters steps with floor 0
+    (S(gamma_2) >= 0: pure N = 2 states stop at once); evaluations count
+    value-and-gradient calls. Records the best value found next to the
+    single-determinant reference ln C(N,2); it never asserts that the reference is minimal.
     """
     opts = opts or MinS2Options()
     if opts.restarts < 1:
@@ -805,42 +812,20 @@ def min_s2_search(M: int, N: int, opts: MinS2Options | None = None,
     if N < 2:
         raise RangeError("2-RDM search needs N >= 2")
     basis = RankedBasis(M, N)
-
-    def s2_fast(amps: np.ndarray) -> float:
-        return entropy_of_probs(np.linalg.eigvalsh(reduce_amplitudes(amps, M, N, 2)),
-                                tol.support_cutoff)
-
     reference = vn_entropy(reduce_pure(slater_state(basis, range(N)), 2), tol)
-    best_s = math.inf
-    best_amps = None
     evals = 0
-    for restart in range(opts.restarts):
-        rng = seeded_rng(opts.seed, restart)
-        amps = complex_normal(rng, basis.dim)
-        amps /= np.linalg.norm(amps)
-        cur = s2_fast(amps)
+
+    def value_grad(iso: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal evals
         evals += 1
-        step = _MINS2_STEP
-        improved_in_cycle = False
-        for it in range(opts.iters):
-            i = it % basis.dim
-            cand = amps.copy()
-            cand[i] += step * complex(rng.standard_normal(), rng.standard_normal())
-            cand /= np.linalg.norm(cand)
-            val = s2_fast(cand)
-            evals += 1
-            if val < cur - 1e-15:
-                amps, cur = cand, val
-                improved_in_cycle = True
-            if i == basis.dim - 1:
-                if not improved_in_cycle:
-                    step *= _MINS2_SHRINK
-                    if step < _MINS2_STEP_FLOOR:
-                        break
-                improved_in_cycle = False
-        if cur < best_s:
-            best_s, best_amps = cur, amps
-    best_state = PureStateN(basis, best_amps)
+        return _s2_value_grad(iso, M, N)
+
+    runs = []
+    for restart in range(opts.restarts):
+        amps = complex_normal(seeded_rng(opts.seed, restart), basis.dim)
+        runs.append(_descend((amps / np.linalg.norm(amps))[:, None], value_grad,
+                             0.0, opts.iters))
+    best_state = PureStateN(basis, min(runs, key=lambda run: run[1])[0][:, 0])
     # report the winner through the deterministic eigensolver path
     best_reported = vn_entropy(reduce_pure(best_state, 2), tol)
     return MinS2Result(best_entropy=best_reported, best_state=best_state,

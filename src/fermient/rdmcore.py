@@ -132,6 +132,20 @@ def reduce_amplitudes(amps: np.ndarray, M: int, N: int, k: int) -> np.ndarray:
     return (rho + rho.conj().T) / (2 * binom(N, k))
 
 
+def gather_amplitudes(amps: np.ndarray, M: int, N: int, k: int) -> np.ndarray:
+    """G = sgn * amps[idx]; a unit vector amps has k-RDM G G^+ / C(N, k)."""
+    idx, sgn = _gather_table(M, N, k)
+    return sgn * amps[idx]
+
+
+def scatter_amplitudes(G: np.ndarray, M: int, N: int, k: int) -> np.ndarray:
+    """Adjoint of gather_amplitudes: out[n] sums sgn * G where idx = n."""
+    idx, sgn = _gather_table(M, N, k)
+    nz = sgn != 0
+    vals, dim = sgn[nz] * G[nz], binom(M, N)
+    return np.bincount(idx[nz], vals.real, dim) + 1j * np.bincount(idx[nz], vals.imag, dim)
+
+
 def reduce_pure(state: PureStateN, k: int) -> ReducedDM:
     """Unit-trace k-particle RDM of a pure state (the one-term mixture)."""
     return reduce_mixed(state, k)

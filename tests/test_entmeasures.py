@@ -526,6 +526,16 @@ def test_yang_analytics_fields():
     assert yang_analytics(YangParams(4, 1)).ef_alt == pytest.approx(math.log(8))
 
 
+@pytest.mark.parametrize("m, n", [(3, 2), (4, 2)])
+def test_yang_ef_closed_forms_are_not_the_pair_rdm_ef(m, n):
+    # at n >= 2 an ensemble at CLI settings already beats both closed forms
+    ana = yang_analytics(YangParams(m, n))
+    res = ef_optimize(_pair_tensor(yang_state(YangParams(m, n))),
+                      EfOptions(ensemble_size="rank", restarts=2, seed=1, max_iters=4))
+    assert LN2 - 1e-12 <= res.value < ana.ef_paper - 0.05
+    assert ana.ef_paper < ana.ef_alt
+
+
 # ---------------------------------------------------------------------------
 # 2-RDM entropy search
 
@@ -555,6 +565,31 @@ def test_min_s2_search_with_no_iters_keeps_its_random_starts():
     res = min_s2_search(4, 2, MinS2Options(restarts=3, iters=0))
     assert res.evaluations == 3
     assert res.gap >= -1e-6
+
+
+@pytest.mark.parametrize("M, N", [(5, 3), (6, 4)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_min_s2_gradient_matches_central_differences(M, N, seed):
+    rng = statekit.seeded_rng(seed)
+    psi = statekit.complex_normal(rng, math.comb(M, N))[:, None]
+    psi /= np.linalg.norm(psi)
+    step = statekit.complex_normal(rng, math.comb(M, N))[:, None]
+    value, grad = entmeasures._s2_value_grad(psi, M, N)
+    assert value == pytest.approx(
+        vn_entropy(reduce_pure(PureStateN(RankedBasis(M, N), psi[:, 0]), 2)), abs=1e-12)
+    h = 1e-5
+    central = (entmeasures._s2_value_grad(psi + h * step, M, N)[0]
+               - entmeasures._s2_value_grad(psi - h * step, M, N)[0]) / (2 * h)
+    analytic = 2.0 * np.vdot(grad, step).real      # d value / d t along psi + t step
+    assert analytic == pytest.approx(central, rel=1e-6)
+
+
+@pytest.mark.parametrize("M, N", [(7, 3), (8, 4)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_min_s2_search_reaches_the_determinant_at_larger_shapes(M, N, seed):
+    res = min_s2_search(M, N, MinS2Options(restarts=2, seed=seed))
+    assert res.slater_reference == pytest.approx(math.log(math.comb(N, 2)), abs=1e-12)
+    assert abs(res.gap) <= 1e-8
 
 
 def test_nbody_elem_cross_check_skipped_past_capacity():

@@ -10,6 +10,7 @@ from fermient import (
     UNIT,
     CapacityError,
     NormalizationError,
+    PureStateN,
     RangeError,
     RankedBasis,
     ShapeError,
@@ -302,6 +303,28 @@ def test_gather_table_matches_scalar_reference():
                         else:
                             assert idx[row, col] == rank(full, I | K)
                             assert sgn[row, col] == merge_sign(I, K)
+
+
+@pytest.mark.parametrize("M,N,k", [(4, 2, 1), (5, 3, 1), (5, 3, 2), (5, 3, 3),
+                                   (6, 4, 2), (7, 3, 3), (8, 4, 2), (8, 4, 3)])
+def test_scatter_is_the_adjoint_of_gather(M, N, k):
+    # <gather(psi), X> = <psi, scatter(X)>
+    from fermient.rdmcore import gather_amplitudes, scatter_amplitudes
+    from fermient.statekit import complex_normal, seeded_rng
+
+    rng = seeded_rng(M, N, k)
+    psi = complex_normal(rng, math.comb(M, N))
+    X = complex_normal(rng, math.comb(M, k), math.comb(M, N - k))
+    G = gather_amplitudes(psi, M, N, k)
+    assert G.shape == X.shape
+    lhs = np.vdot(G, X)
+    rhs = np.vdot(psi, scatter_amplitudes(X, M, N, k))
+    assert abs(lhs - rhs) <= 1e-12
+    # and the gather is the reduction's: G G^+ / C(N, k) is the k-RDM
+    unit = psi / np.linalg.norm(psi)
+    rho = reduce_pure(PureStateN(RankedBasis(M, N), unit), k).matrix
+    G = gather_amplitudes(unit, M, N, k)
+    np.testing.assert_allclose(G @ G.conj().T / math.comb(N, k), rho, atol=1e-14)
 
 
 @pytest.mark.parametrize("M,N,k", [(4, 2, 1), (5, 3, 2), (5, 3, 3), (6, 2, 2)])

@@ -89,3 +89,13 @@ def test_spectral_support_is_judged_only_in_hermlin():
              if isinstance(operand, ast.Attribute)
              and operand.attr in ("support_cutoff", "psd_fail")]
     assert sites == []
+
+
+def test_gather_table_is_read_only_in_rdmcore():
+    # gather_amplitudes and scatter_amplitudes carry the table's layout out
+    sites = [f"{name}:{node.lineno}" for name, tree in _trees().items()
+             if name != "rdmcore.py"
+             for node in ast.walk(tree)
+             if "_gather_table" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                    getattr(node, "name", None))]
+    assert sites == []
