@@ -451,8 +451,8 @@ _SWEEP_OPTIONS = {
     "--M-range": {"help": "range like 4..6"},
     "--m": {"help": "range like 2..5"},
     "--random": {"type": int, "default": 5, "help": "random states per grid point"},
-    "--restarts": {"type": int, "default": 20},
-    "--max-iters": {"type": int, "default": 40},
+    "--restarts": {"type": int, "default": EfOptions.restarts},
+    "--max-iters": {"type": int, "default": EfOptions.max_iters},
     "--seed": {"type": int, "default": 1},
 }
 _SWEEP_QUANTITIES = {

@@ -639,12 +639,11 @@ def ef_exact_m4(rdm: ReducedDM, tol: Tolerances = TOL) -> float:
     mat = _unit_trace(_density_matrix_of(rdm), tol)
     mu, phi = support(eig_herm(mat, vectors=True, tol=tol), tol)
     x = phi * np.sqrt(mu)
+    # x^T D by index: its column i is sgn[i] x^T[:, perm[i]], perm[i] i's complement
     masks = colex_masks(4, 2)
-    dual = np.zeros((masks.size, masks.size))
-    for i, mask in enumerate(masks.tolist()):
-        comp = 0b1111 ^ mask
-        dual[np.searchsorted(masks, comp), i] = merge_sign(mask, comp)
-    lam = np.linalg.svd(x.T @ dual @ x, compute_uv=False)
+    perm = np.searchsorted(masks, 0b1111 ^ masks)
+    sgn = np.array([merge_sign(m, 0b1111 ^ m) for m in masks.tolist()])
+    lam = np.linalg.svd((x.T[:, perm] * sgn) @ x, compute_uv=False)
     conc = max(0.0, float(lam[0] - lam[1:].sum()))
     # (1 - sqrt(1 - C^2)) / 2 without the cancellation at small C
     q = conc * conc / (2.0 * (1.0 + math.sqrt(max(0.0, 1.0 - conc * conc))))

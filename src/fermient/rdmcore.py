@@ -12,10 +12,10 @@ rho = G G^+ / C(N,k) with G = sgn * psi[idx]. Mixtures stack their
 sqrt(w)-weighted terms as extra columns of G, and the partial trace of a
 k-RDM to k_out particles applies the (M, k, k_out) table on both sides.
 
-A dense oracle (`brute_force_reduce`) embeds the state into the full M**N
-tensor power with explicit antisymmetrization signs, partial-traces there,
-and compresses back through the wedge isometry; it exists to cross-check the
-fast path and is capacity-guarded.
+Every map between the wedge and (C^M)^(x k) applies one more index table per
+(M, k), `_antisym_table`, by index. The reference oracle `brute_force_reduce`
+embeds the state into (C^M)^(x N) and gathers its wedge rows back through that
+table, so it holds at most the M**N entries its capacity guard bounds.
 """
 
 from __future__ import annotations
@@ -224,15 +224,6 @@ def _antisym_table(M: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return pos, sgn
 
 
-@lru_cache(maxsize=None)
-def _wedge_isometry(M: int, k: int) -> np.ndarray:
-    """Isometry W: wedge basis -> (C^M)^(x k); columns are antisymmetrized kets."""
-    pos, sgn = _antisym_table(M, k)
-    W = np.zeros((M ** k, pos.shape[0]), dtype=complex)
-    W[pos, np.arange(pos.shape[0])[:, None]] = sgn * (1.0 / math.sqrt(math.factorial(k)))
-    return W
-
-
 def embed_wedge_to_tensor(r: ReducedDM, cap: Capacities = CAP) -> TensorDM:
     """Embed a 2-particle wedge RDM into C^M x C^M via {i<j} -> (|ij>-|ji>)/sqrt(2)."""
     if r.k != 2:
@@ -240,8 +231,13 @@ def embed_wedge_to_tensor(r: ReducedDM, cap: Capacities = CAP) -> TensorDM:
     M = r.basis.n_modes
     if M * M > cap.tensor_dim:
         raise CapacityError(f"tensor dimension {M * M} exceeds capacity {cap.tensor_dim}")
-    W = _wedge_isometry(M, 2)
-    T = W @ r.matrix @ W.conj().T
+    pos, sgn = _antisym_table(M, 2)
+    c = 1.0 / math.sqrt(2.0)
+    T = np.zeros((M * M, M * M), dtype=complex)
+    # T[pos[a, p], pos[b, q]] = sgn[p] sgn[q] R[a, b] / 2; distinct wedge kets
+    # have disjoint positions, so each entry is set once
+    T[pos[:, :, None, None], pos] = ((sgn[:, None, None] * sgn)
+                                     * ((r.matrix[:, None, :, None] * c) * c))
     return TensorDM(parties=2, local_dim=M, matrix=T)
 
 
@@ -254,9 +250,10 @@ def project_antisymmetric(t: TensorDM) -> TensorDM:
     if t.parties != 2:
         raise ShapeError("antisymmetric projection is defined for two parties")
     d = t.local_dim
-    swap = np.eye(d * d)[np.arange(d * d).reshape(d, d).T.reshape(-1)]
-    P = 0.5 * (np.eye(d * d) - swap)
-    return TensorDM(parties=2, local_dim=t.local_dim, matrix=P @ t.dense() @ P)
+    x = t.dense().reshape(d, d, d, d)
+    x = x - x.transpose(1, 0, 2, 3)         # (1 - SWAP) X: swap the row parties
+    x = x - x.transpose(0, 1, 3, 2)         # ... (1 - SWAP): and the column ones
+    return TensorDM(parties=2, local_dim=d, matrix=0.25 * x.reshape(d * d, d * d))
 
 
 def random_two_party_dm(local_dim: int, rank: int, seed: int) -> TensorDM:
@@ -310,17 +307,16 @@ def embed_state_full(state: PureStateN | MixedStateN) -> TensorDM:
 
 
 def brute_force_reduce(state: PureStateN, k: int) -> ReducedDM:
-    """Dense-oracle k-RDM: full tensor embedding, dense partial trace, compress."""
+    """Reference k-RDM Y Y^+, with Y = W^+ B for B the (M**k, M**(N-k)) reshape
+    of the full tensor vector and W the wedge isometry. Y = sum_p sgn[p]
+    B[pos[:, p]] / sqrt(k!) is gathered by index: no array exceeds M**N entries."""
     M = state.basis.n_modes
     N = state.basis.n_particles
     if not 1 <= k <= N:
         raise RangeError(f"need 1 <= k <= N={N}, got k={k}")
-    psi = full_tensor_vector(state)
-    block = psi.reshape(M ** k, M ** (N - k))
-    W = _wedge_isometry(M, k)
-    # contract the isometry first: W^+ (B B^+) W = (W^+ B)(W^+ B)^+, which
-    # avoids the M^k x M^k intermediate entirely
-    Y = W.conj().T @ block
+    block = full_tensor_vector(state).reshape(M ** k, M ** (N - k))
+    pos, sgn = _antisym_table(M, k)
+    Y = np.tensordot(sgn, block[pos], axes=(0, 1)) * (1.0 / math.sqrt(math.factorial(k)))
     rho = Y @ Y.conj().T
     return ReducedDM(k=k, basis=RankedBasis(M, k), matrix=rho, normalization=UNIT,
                      n_particles=N)

@@ -10,6 +10,7 @@ report comes from `report.bound_report`, so it holds <=> slack >= -grace:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,14 +40,10 @@ class SuiteRun:
     ef: EfOptions
 
 
-_CORPUS_CACHE: dict[tuple[int, int], list[corpus.CorpusEntry]] = {}
-
-
+@functools.cache
 def _corpus(seed: int, n_random: int) -> list[corpus.CorpusEntry]:
-    key = (seed, n_random)
-    if key not in _CORPUS_CACHE:
-        _CORPUS_CACHE[key] = corpus.build_corpus(seed=seed, n_random=n_random)
-    return _CORPUS_CACHE[key]
+    # not functools.cache(corpus.build_corpus): the module lookup happens per build
+    return corpus.build_corpus(seed=seed, n_random=n_random)
 
 
 def entries(run: SuiteRun) -> list[corpus.CorpusEntry]:

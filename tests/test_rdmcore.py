@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +38,8 @@ from fermient import (
     tensor_ptrace,
     yang_state,
 )
-from fermient.fockbasis import enumerate_supersets, merge_sign, unrank
+from fermient.fockbasis import enumerate_supersets, merge_sign, modes_of, unrank
+from fermient.rdmcore import ReducedDM, TensorDM, _antisym_table
 
 
 def _spectrum(mat):
@@ -360,3 +362,60 @@ def test_fermirdm_physics_count_is_searched_up_to_the_modes():
     assert r.n_particles is None
     with pytest.raises(NormalizationError, match="particle count unknown"):
         rescale(r, UNIT)
+
+
+def _complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("M", range(2, 9))
+def test_embedding_matches_dense_wedge_isometry(M):
+    # column {i<j} of W is (|ij> - |ji>)/sqrt(2), |ij> at position i*M + j
+    basis = RankedBasis(M, 2)
+    W = np.zeros((M * M, basis.dim))
+    for col, bits in enumerate(basis):
+        i, j = modes_of(bits)
+        W[i * M + j, col], W[j * M + i, col] = 1 / math.sqrt(2), -1 / math.sqrt(2)
+    R = _complex_normal(np.random.default_rng(M), (basis.dim, basis.dim))
+    t = embed_wedge_to_tensor(ReducedDM(k=2, basis=basis, matrix=R))
+    np.testing.assert_allclose(t.dense(), W @ R @ W.T, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("d", range(2, 6))
+def test_antisymmetric_projection_matches_dense_projector(d):
+    # SWAP |ab> = |ba>; any complex matrix, not only a density matrix
+    swap = np.zeros((d * d, d * d))
+    for a in range(d):
+        for b in range(d):
+            swap[b * d + a, a * d + b] = 1.0
+    P = 0.5 * (np.eye(d * d) - swap)
+    X = _complex_normal(np.random.default_rng(d), (d * d, d * d))
+    out = project_antisymmetric(TensorDM(parties=2, local_dim=d, matrix=X)).dense()
+    np.testing.assert_allclose(out, P @ X @ P, rtol=0, atol=1e-15)
+
+
+def test_brute_force_memory_stays_within_its_guard():
+    st = random_pure_state(RankedBasis(8, 5), seed=85)
+    for k in range(1, 6):
+        np.testing.assert_allclose(brute_force_reduce(st, k).matrix,
+                                   reduce_pure(st, k).matrix, rtol=0, atol=1e-12)
+    # the oracle's arrays hold at most the M**N = 32768 entries of the tensor
+    # vector (0.5 MB); a dense wedge isometry would need M**k * C(M, k)
+    _antisym_table.cache_clear()
+    tracemalloc.start()
+    try:
+        rho = brute_force_reduce(st, 5)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pos, sgn = _antisym_table(8, 5)
+    assert peak <= 8e6
+    # beside the result, only the index table stays
+    assert current - rho.matrix.nbytes <= pos.nbytes + sgn.nbytes + 64e3
+    # larger shapes inside the guard, judged by shape alone: the gathered
+    # B[pos] holds C(M, k) k! M**(N-k) <= M**N entries
+    for M, N, k in [(10, 5, 5), (17, 4, 4), (6, 6, 3)]:
+        assert M ** N <= CAP.brute_force
+        pos, _ = _antisym_table(M, k)
+        assert pos.shape == (math.comb(M, k), math.factorial(k))
+        assert pos.size * M ** (N - k) <= M ** N

@@ -99,3 +99,13 @@ def test_gather_table_is_read_only_in_rdmcore():
              if "_gather_table" in (getattr(node, "id", None), getattr(node, "attr", None),
                                     getattr(node, "name", None))]
     assert sites == []
+
+
+def test_antisym_table_is_read_only_in_rdmcore():
+    # every wedge <-> tensor map applies the antisymmetrizer by index there
+    sites = [f"{name}:{node.lineno}" for name, tree in _trees().items()
+             if name != "rdmcore.py"
+             for node in ast.walk(tree)
+             if "_antisym_table" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                     getattr(node, "name", None))]
+    assert sites == []
