@@ -163,22 +163,17 @@ def _emit_file(body: str, summary: str, args, tol: Tolerances) -> None:
 # state / rdm / entropy / yang commands
 
 def cmd_state(args, tol: Tolerances) -> int:
+    needs = [f for f in _STATE_KINDS[args.kind] if "default" not in _STATE_OPTIONS[f]]
+    if any(getattr(args, f[2:]) is None for f in needs):
+        raise FermientError(f"state {args.kind} needs {' and '.join(needs)}")
     if args.kind == "slater":
-        if args.M is None or args.occ is None:
-            raise FermientError("state slater needs --M and --occ")
         occ = _parse_occ(args.occ)
         st = slater_state(RankedBasis(args.M, len(occ)), occ)
     elif args.kind == "yang":
-        if args.m is None or args.n is None:
-            raise FermientError("state yang needs --m and --n")
         st = yang_state(YangParams(args.m, args.n))
     elif args.kind == "chi":
-        if args.m is None:
-            raise FermientError("state chi needs --m")
         st = chi_pair_vector(args.m)
     else:
-        if args.M is None or args.N is None:
-            raise FermientError("state random needs --M and --N")
         st = random_pure_state(RankedBasis(args.M, args.N), seed=args.seed)
     support = int(np.count_nonzero(st.amplitudes))
     _emit_file(dumps_state(st),

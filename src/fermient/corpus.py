@@ -1,13 +1,13 @@
 """Reproducible state corpus used by the verification sweep and the tests.
 
 build_corpus(seed) is pure in its arguments: same seed, same entries, same
-amplitudes, independent of call order. Entries memoize their reduced density
-matrices so repeated bound evaluations reuse the reduction work.
+amplitudes, independent of call order. Entries hold states, not reductions:
+`rdm(k)` reduces the state on each call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fockbasis import RankedBasis
 from .rdmcore import ReducedDM, reduce_mixed
@@ -25,16 +25,13 @@ class CorpusEntry:
     name: str
     kind: str                       # slater | yang | chi | random | mixture
     state: PureStateN | MixedStateN
-    _rdms: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def basis(self) -> RankedBasis:
         return self.state.basis
 
     def rdm(self, k: int) -> ReducedDM:
-        if k not in self._rdms:
-            self._rdms[k] = reduce_mixed(self.state, k)
-        return self._rdms[k]
+        return reduce_mixed(self.state, k)
 
 
 def build_corpus(seed: int = 1, n_random: int = 200) -> list[CorpusEntry]:

@@ -36,8 +36,9 @@ from .errors import (CapacityError, NormalizationError, RangeError,
                      ShapeError)
 from .fockbasis import RankedBasis, colex_masks, merge_sign
 from .hermlin import Spectrum, eig_herm, kron, psd_root, support, trace_product
-from .rdmcore import (ReducedDM, TensorDM, UNIT, gather_amplitudes, reduce_mixed,
-                      reduce_pure, scatter_amplitudes, tensor_ptrace)
+from .rdmcore import (ReducedDM, TensorDM, UNIT, gather_amplitudes,
+                      project_antisymmetric, reduce_mixed, reduce_pure,
+                      scatter_amplitudes, tensor_ptrace)
 from .report import BoundReport, bound_report
 from .statekit import (MixedStateN, PureStateN, YangParams, as_mixture,
                        complex_normal, seeded_rng, slater_state)
@@ -50,8 +51,11 @@ LN2 = math.log(2.0)
 
 def entropy_of_probs(p: np.ndarray, cutoff: float = TOL.support_cutoff) -> float:
     """-sum p ln p over entries above the support cutoff, clamped at 0 (a lone
-    eigenvalue 1 + eps would give -(1 + eps) ln(1 + eps) < 0)."""
+    eigenvalue 1 + eps would give -(1 + eps) ln(1 + eps) < 0). Non-finite
+    entries raise ShapeError."""
     p = np.asarray(p, dtype=float)
+    if not math.isfinite(p.sum()):
+        raise ShapeError("probabilities have non-finite entries")
     pos = p[p > cutoff]
     # 0.0 first: max returns its first argument on ties, and max(-0.0, 0.0) is -0.0
     return max(0.0, float(-(pos * np.log(pos)).sum()))
@@ -70,7 +74,7 @@ def _density_matrix_of(obj) -> np.ndarray:
 def _unit_trace(mat: np.ndarray, tol: Tolerances) -> np.ndarray:
     """mat itself, once its trace is 1 within tol.unit_trace."""
     tr = float(np.trace(mat).real)
-    if abs(tr - 1.0) > tol.unit_trace:
+    if not abs(tr - 1.0) <= tol.unit_trace:
         raise NormalizationError(f"trace {tr!r} is not 1 within {tol.unit_trace}")
     return mat
 
@@ -84,7 +88,7 @@ def vn_entropy(obj, tol: Tolerances = TOL) -> float:
         mat = _unit_trace(_density_matrix_of(obj), tol)
         spec = eig_herm(mat, vectors=False, tol=tol)
     total = float(np.sum(spec.eigenvalues))
-    if abs(total - 1.0) > tol.unit_trace:
+    if not abs(total - 1.0) <= tol.unit_trace:
         raise NormalizationError(f"spectrum sums to {total!r}, not 1")
     return entropy_of_probs(support(spec, tol)[0], 0.0)
 
@@ -115,6 +119,13 @@ def state_entropy(state: PureStateN | MixedStateN, tol: Tolerances = TOL) -> flo
     return vn_entropy(eig_herm(_mixture_gram(w, vecs), vectors=False, tol=tol), tol)
 
 
+def _one_body_spectrum(state: PureStateN | MixedStateN,
+                       tol: Tolerances) -> tuple[Spectrum, float]:
+    """Spectrum of the unit 1-RDM and its entropy S1."""
+    spec = eig_herm(reduce_mixed(state, 1).matrix, vectors=False, tol=tol)
+    return spec, vn_entropy(spec, tol)
+
+
 # ---------------------------------------------------------------------------
 # mutual information bounds
 
@@ -130,11 +141,8 @@ def mutual_info_bounds(state: PureStateN | MixedStateN,
     basis = state.basis
     if basis.n_particles < 2:
         raise RangeError("mutual information bounds need N >= 2")
-    r1 = reduce_mixed(state, 1)
-    r12 = reduce_mixed(state, 2)
-    spec1 = eig_herm(r1.matrix, vectors=False, tol=tol)
-    s1 = vn_entropy(spec1, tol)
-    s12 = vn_entropy(r12, tol)
+    spec1, s1 = _one_body_spectrum(state, tol)
+    s12 = vn_entropy(reduce_mixed(state, 2), tol)
     pur = purity(spec1)
     lhs = 2.0 * s1 - s12
     rhs1 = math.log(2.0 / (1.0 - pur))
@@ -161,15 +169,14 @@ def subadd_remainder(t: TensorDM, rho1: np.ndarray | None = None,
     """
     if t.parties != 2:
         raise ShapeError("subadd_remainder needs a two-party density matrix")
-    rho = t.dense()
     m1 = tensor_ptrace(t, (0,))
     m2 = tensor_ptrace(t, (1,))
     for given, computed, label in ((rho1, m1, "rho1"), (rho2, m2, "rho2")):
         if given is not None:
             gap = float(np.linalg.norm(np.asarray(given) - computed))
-            if gap > tol.marginal_match:
+            if not gap <= tol.marginal_match:
                 raise ShapeError(f"{label} differs from the true marginal by {gap:.3e}")
-    s12, a = _entropy_and_root(rho, tol)
+    s12, a = _entropy_and_root(t.dense(), tol)
     (s1, r1), (s2, r2) = (_entropy_and_root(m, tol) for m in (m1, m2))
     b = kron(r1, r2)
     tr = trace_product(a, b)
@@ -306,17 +313,16 @@ def nbody_elem_bound(state: PureStateN | MixedStateN, tol: Tolerances = TOL,
     The subset-sum cross-check e_N_direct is skipped (null, with a
     cross_check note) when its C(M, N) terms exceed cap.elem_terms.
     """
-    mix = as_mixture(state)
-    N = mix.basis.n_particles
-    spec1 = eig_herm(reduce_mixed(mix, 1).matrix, vectors=False, tol=tol)
-    s1 = vn_entropy(spec1, tol)
-    s_full = state_entropy(mix, tol)
+    basis = state.basis
+    N = basis.n_particles
+    spec1, s1 = _one_body_spectrum(state, tol)
+    s_full = state_entropy(state, tol)
     lam = spec1.eigenvalues
     psums = [float(np.sum(lam ** j)) for j in range(2, N + 1)]
     e_n = elem_sym(N, psums)
     lhs = N * s1 - s_full
     rhs = -math.log(e_n) if e_n > 0.0 else math.inf
-    ctx = {"M": mix.basis.n_modes, "N": N, "S1": s1, "S_full": s_full,
+    ctx = {"M": basis.n_modes, "N": N, "S1": s1, "S_full": s_full,
            "e_N": e_n, "e_N_direct": None}
     try:
         ctx["e_N_direct"] = elem_sym_direct(lam, N, cap)
@@ -504,11 +510,11 @@ def _descend(iso: np.ndarray, value_grad, floor: float,
     return iso, value
 
 
-def _ef_floor(rho: np.ndarray, d: int, tol: Tolerances) -> float:
-    """The proven minimum of E_f for rho: ln 2 when rho lives on the
-    antisymmetric subspace (SWAP rho = -rho), else 0."""
-    swapped = rho.reshape(d, d, d * d).swapaxes(0, 1).reshape(d * d, d * d)
-    return LN2 if np.abs(swapped + rho).max() <= tol.hermiticity else 0.0
+def _ef_floor(t: TensorDM, tol: Tolerances) -> float:
+    """The proven minimum of E_f for t: ln 2 when t lives on the antisymmetric
+    subspace (P t P = t for rdmcore's projector P = (1 - SWAP)/2), else 0."""
+    gap = np.abs(project_antisymmetric(t).matrix - t.dense()).max()
+    return LN2 if gap <= tol.hermiticity else 0.0
 
 
 def ef_optimize(t: TensorDM, opts: EfOptions | None = None,
@@ -555,7 +561,7 @@ def ef_optimize(t: TensorDM, opts: EfOptions | None = None,
         contribs = _member_contribs(w, d, d)
         return _finish(float(contribs.sum()), w, True, 0, 0)
 
-    floor = _ef_floor(rho, d, tol)
+    floor = _ef_floor(t, tol)
     best = None
     for restart in range(opts.restarts):
         if restart == 0:
@@ -680,16 +686,14 @@ def extension_spec_from_tripartite(t: TensorDM, tol: Tolerances = TOL) -> Extens
     )
 
 
-def slater_extension_spec(N: int, k: int, M: int | None = None,
-                          tol: Tolerances = TOL) -> ExtensionSpec:
-    """Entropies of the k-particle extension of a single determinant's 2-RDM:
-    parties are (particle 1 | particle 2 | remaining k-2), so
+def slater_extension_spec(N: int, k: int, tol: Tolerances = TOL) -> ExtensionSpec:
+    """Entropies of the k-particle extension of a single determinant's 2-RDM
+    on N modes: parties are (particle 1 | particle 2 | remaining k-2), so
     S123 = S(k-RDM), S3 = S((k-2)-RDM), S13 = S23 = S((k-1)-RDM),
     all computed from actual reductions."""
     if not 2 <= k <= N:
         raise RangeError(f"need 2 <= k <= N={N}, got k={k}")
-    M = N if M is None else M
-    state = slater_state(RankedBasis(M, N), range(N))
+    state = slater_state(RankedBasis(N, N), range(N))
     s123 = vn_entropy(reduce_pure(state, k), tol)
     s3 = 0.0 if k == 2 else vn_entropy(reduce_pure(state, k - 2), tol)
     s13 = vn_entropy(reduce_pure(state, k - 1), tol)

@@ -6,17 +6,18 @@ descending; in each cluster of eigenvalues within tol.eig_residual * ||A|| of
 its first, the basis that pivoted Gram-Schmidt builds from the columns of the
 cluster's projector V V^+; each vector's largest-modulus entry real positive.
 Eigenpairs (eig_residual) and square roots (sqrt_square) are checked, and a
-failed check raises NumericalError. `support` alone decides which eigenvalues
-are negative (an error), zero or kept, for roots, entropies and ensembles.
+failed check raises NumericalError. `support` alone judges an eigenvalue
+non-finite or negative (errors), zero or kept, for roots, entropies and ensembles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CAP, TOL, Capacities, Tolerances
+from .config import CAP, TOL, Tolerances
 from .errors import CapacityError, NotPSDError, NumericalError, ShapeError
 
 
@@ -89,11 +90,13 @@ def eig_herm(a: np.ndarray, vectors: bool = True, tol: Tolerances = TOL) -> Spec
 
 def support(spec: Spectrum,
             tol: Tolerances = TOL) -> tuple[np.ndarray, np.ndarray | None]:
-    """The one spectral support rule: raise NotPSDError below
-    -tol.psd_fail * max(||A||, 1); keep the eigenvalues (and their vector
-    columns, or None) above tol.support_cutoff * max(||A||, 1), treating the
-    rest as 0. Eigenvalues descend, so the support is a prefix."""
+    """The one spectral support rule: non-finite eigenvalues raise ShapeError,
+    those below -tol.psd_fail * max(||A||, 1) NotPSDError; keep the eigenvalues
+    (and their vector columns, or None) above tol.support_cutoff * max(||A||, 1),
+    treating the rest as 0. Eigenvalues descend, so the support is a prefix."""
     lam = spec.eigenvalues
+    if not math.isfinite(lam.sum()):     # NaN or inf anywhere makes the sum so
+        raise ShapeError("spectrum has non-finite eigenvalues")
     top, low = (float(lam[0]), float(lam[-1])) if lam.size else (0.0, 0.0)
     scale = max(top, -low, 1.0)
     if low < -tol.psd_fail * scale:
@@ -133,14 +136,14 @@ def sqrt_psd(a: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
     return psd_root(a, tol)[1]
 
 
-def kron(a: np.ndarray, b: np.ndarray, cap: Capacities = CAP) -> np.ndarray:
-    """Kronecker product with the tensor-dimension capacity guard."""
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product, its output dimension guarded by CAP.tensor_dim."""
     a = np.asarray(a)
     b = np.asarray(b)
     out_dim = a.shape[0] * b.shape[0]
-    if out_dim > cap.tensor_dim:
+    if out_dim > CAP.tensor_dim:
         raise CapacityError(
-            f"kron output dimension {out_dim} exceeds capacity {cap.tensor_dim}")
+            f"kron output dimension {out_dim} exceeds capacity {CAP.tensor_dim}")
     return np.kron(a, b)
 
 

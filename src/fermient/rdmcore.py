@@ -198,7 +198,7 @@ def rescale(r: ReducedDM, target: str, tol: Tolerances = TOL) -> ReducedDM:
     cur = float(np.trace(r.matrix).real)
     want = phys if target == PHYSICS else 1.0
     have = phys if r.normalization == PHYSICS else 1.0
-    if abs(cur - have) > tol.trace_match * max(have, 1.0):
+    if not abs(cur - have) <= tol.trace_match * max(have, 1.0):
         raise NormalizationError(f"trace {cur!r} inconsistent with tag {r.normalization!r}")
     return ReducedDM(r.k, r.basis, r.matrix * (want / have), target, r.n_particles)
 

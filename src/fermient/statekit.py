@@ -132,10 +132,10 @@ def convex_mixture(weights: Sequence[float], states: Sequence[PureStateN]) -> Mi
         if st.basis != basis:
             raise ShapeError("all states in a mixture must share one basis")
     w = [float(x) for x in weights]
-    if any(x <= 0.0 for x in w):
+    if not all(x > 0.0 for x in w):     # refuses NaN too
         raise NormalizationError("mixture weights must be strictly positive")
     total = sum(w)
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise NormalizationError(f"weights sum to {total!r}, not 1 within 1e-9")
     w = [x / total for x in w]
     return MixedStateN(basis, list(zip(w, list(states))))

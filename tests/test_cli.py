@@ -626,3 +626,16 @@ def test_indefinite_rdm_file_exits_2(tmp_path, capsys, argv):
     assert out == ""
     assert err.startswith("fermient: error: ") and err.count("\n") == 1
     assert "negative" in err
+
+
+@pytest.mark.parametrize("argv, needs", [
+    (["state", "slater", "--M", "4"], "slater needs --M and --occ"),
+    (["state", "slater", "--occ", "0,1"], "slater needs --M and --occ"),
+    (["state", "yang", "--m", "3"], "yang needs --m and --n"),
+    (["state", "yang", "--n", "1"], "yang needs --m and --n"),
+    (["state", "chi"], "chi needs --m"),
+    (["state", "random", "--M", "4"], "random needs --M and --N"),
+])
+def test_state_kinds_name_their_missing_flags(argv, needs, capsys):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"fermient: error: state {needs}\n")

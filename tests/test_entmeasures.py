@@ -14,6 +14,7 @@ from fermient import (
     RangeError,
     RankedBasis,
     ShapeError,
+    Spectrum,
     TensorDM,
     YangParams,
     colex_masks,
@@ -732,3 +733,40 @@ def test_ef_floor_exit_needs_an_antisymmetric_state(monkeypatch):
                       dataclasses.replace(CLI_EF, restarts=3))
     assert len(drawn) == 2
     assert res.value < LN2
+
+
+def test_ef_floor_exit_needs_the_antisymmetric_subspace(monkeypatch):
+    # a symmetric admixture 1e-9 |00><00| leaves the antisymmetric subspace, so
+    # no restart may end the run at ln 2; the unmixed state still exits at once
+    drawn = _count_random_restarts(monkeypatch)
+    opts = dataclasses.replace(CLI_EF, restarts=3)
+    t = _pair_tensor(_planted_slater_mixture(4, 3, 0))
+    assert ef_optimize(t, opts).restart == 0
+    assert drawn == []
+    mixed = (1.0 - 1e-9) * t.matrix
+    mixed[0, 0] += 1e-9
+    ef_optimize(TensorDM(parties=2, local_dim=4, matrix=mixed), opts)
+    assert len(drawn) == opts.restarts - 1
+
+
+@pytest.mark.parametrize("lam", [[np.nan, 1.0], [0.5, 0.5, np.nan], [np.inf, 0.0]])
+def test_vn_entropy_refuses_non_finite_spectra(lam):
+    with pytest.raises(NormalizationError):
+        vn_entropy(Spectrum(np.array(lam)))
+
+
+def test_vn_entropy_refuses_a_non_finite_trace():
+    with pytest.raises(NormalizationError):
+        vn_entropy(np.full((2, 2), np.nan))
+
+
+@pytest.mark.parametrize("p", [[np.nan, 0.5, 0.5], [np.inf, 0.0]])
+def test_entropy_of_probs_refuses_non_finite_input(p):
+    with pytest.raises(ShapeError):
+        entropy_of_probs(np.array(p))
+
+
+def test_subadd_remainder_refuses_a_non_finite_marginal():
+    t = random_two_party_dm(2, rank=2, seed=1)
+    with pytest.raises(ShapeError):
+        subadd_remainder(t, rho1=np.full((2, 2), np.nan))

@@ -10,11 +10,13 @@ from fermient import (
     NotPSDError,
     NumericalError,
     ShapeError,
+    Spectrum,
     as_hermitian,
     eig_herm,
     kron,
     sqrt_from_spectrum,
     sqrt_psd,
+    support,
     trace_product,
 )
 from fermient import EfOptions, hermlin, suites
@@ -261,3 +263,9 @@ def test_subadd_reports_ignore_the_null_space_basis(monkeypatch):
     got = [rep.slack for rep in suites.subadd(run)]
     assert len(got) == len(want)
     assert np.abs(np.subtract(got, want)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [[np.nan, 1.0], [1.0, 0.0, np.nan], [np.inf, 0.0]])
+def test_support_refuses_non_finite_eigenvalues(lam):
+    with pytest.raises(ShapeError):
+        support(Spectrum(np.array(lam)))

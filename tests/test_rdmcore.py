@@ -419,3 +419,10 @@ def test_brute_force_memory_stays_within_its_guard():
         pos, _ = _antisym_table(M, k)
         assert pos.shape == (math.comb(M, k), math.factorial(k))
         assert pos.size * M ** (N - k) <= M ** N
+
+
+def test_rescale_refuses_a_non_finite_trace():
+    r = reduce_pure(slater_state(RankedBasis(4, 2), (0, 1)), 1)
+    r = ReducedDM(r.k, r.basis, np.full_like(r.matrix, np.nan), UNIT, r.n_particles)
+    with pytest.raises(NormalizationError):
+        rescale(r, PHYSICS)

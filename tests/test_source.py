@@ -109,3 +109,21 @@ def test_antisym_table_is_read_only_in_rdmcore():
              if "_antisym_table" in (getattr(node, "id", None), getattr(node, "attr", None),
                                      getattr(node, "name", None))]
     assert sites == []
+
+
+def test_party_axes_are_permuted_only_in_rdmcore():
+    # project_antisymmetric owns SWAP: swapaxes(0, 1), transpose(1, 0, ...)
+    def axes(call):
+        args = call.args
+        if len(args) == 1 and isinstance(args[0], (ast.Tuple, ast.List)):
+            args = args[0].elts
+        return [getattr(a, "value", None) for a in args]
+
+    sites = [f"{name}:{node.lineno}" for name, tree in _trees().items()
+             if name != "rdmcore.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and ((getattr(node.func, "attr", None) == "swapaxes" and axes(node)[-2:] == [0, 1])
+                  or (getattr(node.func, "attr", None) == "transpose"
+                      and axes(node)[:2] == [1, 0]))]
+    assert sites == []

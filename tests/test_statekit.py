@@ -211,3 +211,10 @@ def test_yang_state_matches_scalar_ranks(m):
         want = sorted(rank(st.basis, sum(pair_modes(j) for j in pairs))
                       for pairs in itertools.combinations(range(1, m + 1), n))
         assert np.flatnonzero(st.amplitudes).tolist() == want
+
+
+@pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.nan, np.nan], [np.inf, 1.0]])
+def test_convex_mixture_refuses_non_finite_weights(weights):
+    b = RankedBasis(4, 2)
+    with pytest.raises(NormalizationError):
+        convex_mixture(weights, [slater_state(b, (0, 1)), slater_state(b, (2, 3))])
