@@ -95,7 +95,7 @@ def support(spec: Spectrum,
     (and their vector columns, or None) above tol.support_cutoff * max(||A||, 1),
     treating the rest as 0. Eigenvalues descend, so the support is a prefix."""
     lam = spec.eigenvalues
-    if not math.isfinite(lam.sum()):     # NaN or inf anywhere makes the sum so
+    if not math.isfinite(lam.sum()):   # any NaN or inf makes the sum non-finite
         raise ShapeError("spectrum has non-finite eigenvalues")
     top, low = (float(lam[0]), float(lam[-1])) if lam.size else (0.0, 0.0)
     scale = max(top, -low, 1.0)

@@ -115,8 +115,8 @@ def test_party_axes_are_permuted_only_in_rdmcore():
     # project_antisymmetric owns SWAP: swapaxes(0, 1), transpose(1, 0, ...)
     def axes(call):
         args = call.args
-        if len(args) == 1 and isinstance(args[0], (ast.Tuple, ast.List)):
-            args = args[0].elts
+        if args and isinstance(args[-1], (ast.Tuple, ast.List)):   # transpose((1, 0))
+            args = args[-1].elts
         return [getattr(a, "value", None) for a in args]
 
     sites = [f"{name}:{node.lineno}" for name, tree in _trees().items()
