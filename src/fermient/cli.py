@@ -46,7 +46,7 @@ from .entmeasures import (EfOptions, LN2, ef_optimize, mutual_info_bounds,
                           purity, vn_entropy, yang_analytics)
 from .errors import CapacityError, FermientError, NumericalError
 from .fockbasis import RankedBasis, binom
-from .hermlin import eig_herm
+from .hermlin import eig_herm, support
 from .rdmcore import (PHYSICS, UNIT, ReducedDM, dumps_rdm, embed_wedge_to_tensor,
                       loads_rdm, ptrace_rdm, reduce_mixed, rescale)
 from .report import (REPORT_COLUMNS, fmt17, json_value, read_text, records,
@@ -184,7 +184,9 @@ def cmd_state(args, tol: Tolerances) -> int:
 
 def _unit_rdm(path: str, k: int | None, tol: Tolerances) -> ReducedDM | None:
     """The unit-trace k-RDM of a state or RDM file (an RDM is traced down, never
-    raised); k = None keeps an RDM's own k and gives None for a pure state."""
+    raised); k = None keeps an RDM's own k and gives None for a pure state.
+    An RDM file whose spectrum is materially negative is refused whatever k,
+    since tracing it down can hide the negative eigenvalue."""
     text = read_text(path)
     head = next(records(text), [None])[0]
     if head == "fermistate":
@@ -195,6 +197,7 @@ def _unit_rdm(path: str, k: int | None, tol: Tolerances) -> ReducedDM | None:
                             else f"{path}: unknown header {head!r}")
     r = loads_rdm(text)
     r = r if r.normalization == UNIT else rescale(r, UNIT, tol)
+    support(eig_herm(r.matrix, vectors=False, tol=tol), tol)
     if k is None or k == r.k:
         return r
     if k > r.k:

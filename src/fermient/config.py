@@ -1,7 +1,11 @@
 """Centralized numerical tolerances and capacity guards.
 
-Every module pulls its thresholds from here so a run can be reproduced from
-the single record embedded in CLI outputs.
+Every module pulls its settable thresholds from here, so a run can be
+reproduced from the single record embedded in CLI outputs. Fixed limits that
+no option changes live beside their code: `suites`' ROUTE_MATCH,
+CLOSED_FORM_MATCH and EF_FLOOR_GRACE, and the descent constants of
+`entmeasures` (_DESCENT_STEPS, _ARMIJO, _GRAD_FLOOR, _STEP_FLOOR, _FLOOR_GAP,
+_LOG_CLIP).
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ class Capacities:
     tensor_dim: int = 4096           # max dense tensor-product dimension
     brute_force: int = 100_000       # max M**N for the dense oracle
     elem_terms: int = 1_000_000      # max subset-sum terms in elem_sym_direct
-    dense_eig: int = 512             # max dimension fed to the dense eigensolver
+    dense_eig: int = 512             # max dimension of subadd_remainder_n's dense
+                                     # route (its only reader)
     max_modes: int = 64              # bitmask width
     ef_rank: int = 64                # max support rank accepted by ef_optimize
 

@@ -34,7 +34,7 @@ import numpy as np
 from .config import CAP, TOL, Capacities, Tolerances
 from .errors import (CapacityError, NormalizationError, RangeError,
                      ShapeError)
-from .fockbasis import RankedBasis, colex_masks, merge_sign
+from .fockbasis import RankedBasis
 from .hermlin import Spectrum, eig_herm, kron, psd_root, support, trace_product
 from .rdmcore import (ReducedDM, TensorDM, UNIT, gather_amplitudes,
                       project_antisymmetric, reduce_mixed, reduce_pure,
@@ -94,11 +94,13 @@ def vn_entropy(obj, tol: Tolerances = TOL) -> float:
 
 
 def purity(obj) -> float:
-    """Tr rho^2 of a density matrix (or sum lambda^2 of a Spectrum)."""
-    if isinstance(obj, Spectrum):
-        return float(np.sum(obj.eigenvalues ** 2))
-    mat = _density_matrix_of(obj)
-    return trace_product(mat, mat)
+    """Tr rho^2 of a density matrix (or sum lambda^2 of a Spectrum).
+    Non-finite entries raise ShapeError."""
+    spectral = isinstance(obj, Spectrum)
+    a = obj.eigenvalues if spectral else _density_matrix_of(obj)
+    if not np.isfinite(np.sum(a)):      # any NaN or inf makes the sum non-finite
+        raise ShapeError("purity input has non-finite entries")
+    return float(np.sum(a ** 2)) if spectral else trace_product(a, a)
 
 
 def _mixture_gram(w: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -219,7 +221,8 @@ def subadd_remainder_n(t: TensorDM, grouping=None, tol: Tolerances = TOL,
     """Grouped n-party version: S(rho) - sum_b S(rho_b) <= 2 ln Tr[sqrt(rho) x_b sqrt(rho_b)].
 
     Blocks must be contiguous runs of parties. Both routes reduce rho to its
-    support pairs (lambda_a, e_a) and evaluate
+    support pairs (lambda_a, e_a), and everything is read from them: S(rho),
+    each marginal rho_b = sum_a lambda_a Tr_rest |e_a><e_a| and
     Tr = sum_a sqrt(lambda_a) <e_a| x_b sqrt(rho_b) |e_a>. Factored inputs
     (from embed_state_full) take the pairs from their Gram spectrum, so large
     fermionic tensors never hit the dense eigensolver.
@@ -232,17 +235,16 @@ def subadd_remainder_n(t: TensorDM, grouping=None, tol: Tolerances = TOL,
         spec = eig_herm(_mixture_gram(w, vecs), vectors=True, tol=tol)
         lam, gvecs = support(spec, tol)
         basis_vecs = ((vecs * np.sqrt(w)) @ gvecs) / np.sqrt(lam)
-        marginals = []
-        for b in blocks:
-            v = vecs.T.reshape(len(w), d ** b[0], d ** len(b), -1)
-            marginals.append(np.einsum("i,iabc,iadc->bd", w, v, v.conj()))
     else:
         if t.dim > cap.dense_eig:
             raise CapacityError(
                 f"dense n-party remainder limited to dim {cap.dense_eig}, got {t.dim}")
         spec = eig_herm(t.dense(), vectors=True, tol=tol)
         lam, basis_vecs = support(spec, tol)
-        marginals = [tensor_ptrace(t, b) for b in blocks]
+    marginals = []
+    for b in blocks:
+        v = basis_vecs.T.reshape(len(lam), d ** b[0], d ** len(b), -1)
+        marginals.append(np.einsum("i,iabc,iadc->bd", lam, v, v.conj()))
     s_full = vn_entropy(spec, tol)
     s_blocks, roots = zip(*(_entropy_and_root(rb, tol) for rb in marginals))
     image = _apply_blockwise(basis_vecs, roots, block_dims)
@@ -292,8 +294,11 @@ def elem_sym_det(n: int, power_sums) -> float:
 
 
 def elem_sym_direct(eigenvalues, n: int, cap: Capacities = CAP) -> float:
-    """Brute-force subset sum: sum over n-subsets of eigenvalue products."""
+    """Brute-force subset sum: sum over n-subsets of eigenvalue products.
+    Non-finite eigenvalues raise ShapeError."""
     lam = [float(x) for x in np.asarray(eigenvalues).ravel()]
+    if not math.isfinite(sum(lam)):
+        raise ShapeError("eigenvalues have non-finite entries")
     terms = math.comb(len(lam), n)
     if terms > cap.elem_terms:
         raise CapacityError(f"{terms} subset terms exceed capacity {cap.elem_terms}")
@@ -345,9 +350,11 @@ class EfOptions:
 
 @dataclass
 class EnsembleDecomposition:
+    """The optimal ensemble rho = sum_k weights_k |members_k><members_k|; its
+    value, sum_k weights_k S(Tr_2 members_k), is EfResult.value."""
+
     weights: np.ndarray                # (L,) positive, sums to Tr rho
     members: np.ndarray                # (L, d1*d2) unit rows
-    value: float                       # sum_k weight_k S(Tr_2 member_k)
 
 
 @dataclass
@@ -556,7 +563,7 @@ def ef_optimize(t: TensorDM, opts: EfOptions | None = None,
     if L < r:
         raise ShapeError(f"ensemble size {L} below support rank {r}")
 
-    if r == 1 or L == 1:
+    if r == 1:      # L < r was refused, so L == 1 implies r == 1
         w = x[:1].copy()
         contribs = _member_contribs(w, d, d)
         return _finish(float(contribs.sum()), w, True, 0, 0)
@@ -618,7 +625,7 @@ def _finish(value: float, w: np.ndarray, converged: bool, sweeps: int,
     lam = np.einsum("ij,ij->i", w, w.conj()).real
     mask = lam > 1e-14
     members = w[mask] / np.sqrt(lam[mask])[:, None]
-    deco = EnsembleDecomposition(weights=lam[mask], members=members, value=value)
+    deco = EnsembleDecomposition(weights=lam[mask], members=members)
     return EfResult(value=value, decomposition=deco, converged=converged,
                     sweeps=sweeps, restart=restart)
 
@@ -637,7 +644,9 @@ def ef_exact_m4(rdm: ReducedDM, tol: Tolerances = TOL) -> float:
     Hodge dual on the colex wedge basis (e_I -> sign(I, J) e_J, J the
     complement of I), C = max(0, l_1 - sum_{i>=2} l_i) over the descending
     singular values l of X^T D X, and E_f = ln 2 + h((1 + sqrt(1 - C^2)) / 2)
-    with h the binary entropy in nats.
+    with h the binary entropy in nats. D is the gather table of the filled
+    four-mode determinant at k = 2: row I holds merge_sign(I, J) at J, and is
+    symmetric, since exchanging two 2-sets is an even permutation.
     """
     if rdm.k != 2 or rdm.basis.n_modes != 4:
         raise ShapeError(f"ef_exact_m4 needs a 2-RDM on 4 modes, got k={rdm.k}, "
@@ -645,11 +654,8 @@ def ef_exact_m4(rdm: ReducedDM, tol: Tolerances = TOL) -> float:
     mat = _unit_trace(_density_matrix_of(rdm), tol)
     mu, phi = support(eig_herm(mat, vectors=True, tol=tol), tol)
     x = phi * np.sqrt(mu)
-    # x^T D by index: its column i is sgn[i] x^T[:, perm[i]], perm[i] i's complement
-    masks = colex_masks(4, 2)
-    perm = np.searchsorted(masks, 0b1111 ^ masks)
-    sgn = np.array([merge_sign(m, 0b1111 ^ m) for m in masks.tolist()])
-    lam = np.linalg.svd((x.T[:, perm] * sgn) @ x, compute_uv=False)
+    dual = gather_amplitudes(np.ones(1), 4, 4, 2)
+    lam = np.linalg.svd(x.T @ dual @ x, compute_uv=False)
     conc = max(0.0, float(lam[0] - lam[1:].sum()))
     # (1 - sqrt(1 - C^2)) / 2 without the cancellation at small C
     q = conc * conc / (2.0 * (1.0 + math.sqrt(max(0.0, 1.0 - conc * conc))))

@@ -57,7 +57,8 @@ class TensorDM:
     `factors`, when present, holds (weights, vectors) with
     matrix == sum_i w_i |v_i><v_i| exactly; low-rank paths use it to avoid
     dense eigensolves at large dimension. `matrix` may be None for factored
-    states too large to materialize densely.
+    states too large to materialize densely: dense() then builds the matrix
+    from the factors, and raises CapacityError above CAP.tensor_dim.
     """
 
     parties: int
@@ -72,6 +73,9 @@ class TensorDM:
     def dense(self) -> np.ndarray:
         if self.matrix is not None:
             return self.matrix
+        if self.dim > CAP.tensor_dim:
+            raise CapacityError(
+                f"tensor dimension {self.dim} exceeds capacity {CAP.tensor_dim}")
         w, vecs = self.factors
         return (vecs * w) @ vecs.conj().T
 

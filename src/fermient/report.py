@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 from .config import TOL, Tolerances
-from .errors import ShapeError
+from .errors import NumericalError, ShapeError
 
 FMT17 = "%.17g"   # 17 significant digits: an exact decimal round trip for doubles
 
@@ -34,7 +34,8 @@ def bound_report(name: str, lhs: float, rhs: float, direction: str = ">=",
                  **context) -> BoundReport:
     """Build a report for `lhs direction rhs`; slack is oriented so that
     slack >= 0 means the inequality holds with margin, and the report holds
-    when slack >= -grace (default tol.bound_slack)."""
+    when slack >= -grace (default tol.bound_slack). Either side may be
+    infinite, but a NaN slack raises NumericalError: it is no verdict."""
     if grace is None:
         grace = tol.bound_slack
     if direction == ">=":
@@ -43,6 +44,8 @@ def bound_report(name: str, lhs: float, rhs: float, direction: str = ">=",
         slack = rhs - lhs
     else:
         raise ValueError(f"direction must be '>=' or '<=', got {direction!r}")
+    if math.isnan(slack):
+        raise NumericalError(f"{name}: slack of {lhs!r} {direction} {rhs!r} is NaN")
     return BoundReport(name=name, lhs=float(lhs), rhs=float(rhs),
                        slack=float(slack), holds=bool(slack >= -grace),
                        context=dict(context))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fermient import cli, hermlin, load_rdm, load_state, loads_state
+from fermient.errors import NumericalError
 from fermient.report import bound_report
 
 LN2 = math.log(2.0)
@@ -146,6 +147,28 @@ def test_verify_exit_1_on_violation(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert rc == 1
     assert _json_lines(out)[1]["holds"] is False
+
+
+def test_bound_report_refuses_a_nan_slack():
+    for lhs, rhs in ((math.nan, 0.0), (0.0, math.nan), (math.inf, math.inf)):
+        with pytest.raises(NumericalError):
+            bound_report("x", lhs, rhs)
+    # an infinite side alone is a verdict (subadd and n-body use them)
+    assert not bound_report("x", 0.0, math.inf).holds
+    assert bound_report("x", 0.0, -math.inf).holds
+    assert not bound_report("x", 0.0, -math.inf, "<=").holds
+
+
+def test_verify_nan_report_exits_4(capsys, monkeypatch):
+    # a NaN lhs is no verdict, so it must not read as a violated bound (exit 1)
+    def broken(**kwargs):
+        return [bound_report("mutual-info/planted", math.nan, 0.0, ">=")]
+
+    monkeypatch.setitem(cli._SUITES, "mutual", broken)
+    assert cli.main(["verify", "mutual"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("fermient: numerical failure: ") and err.count("\n") == 1
 
 
 def test_ef_sweep_tol_override_is_enforced(capsys):
@@ -622,6 +645,21 @@ def test_indefinite_rdm_file_exits_2(tmp_path, capsys, argv):
     p = tmp_path / "indefinite.fermirdm"
     p.write_text("fermirdm 2 1 unit\n1.5 0 0 0\n0 0 -0.5 0\n")
     assert cli.main([argv[0], str(p), *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("fermient: error: ") and err.count("\n") == 1
+    assert "negative" in err
+
+
+@pytest.mark.parametrize("command", ["entropy", "rdm"])
+def test_indefinite_rdm_file_is_refused_whatever_k(tmp_path, capsys, command):
+    # diagonal (0.7, 0.4, -0.1, 0, 0, 0): its traced 1-RDM, diagonal
+    # (0.55, 0.3, 0.15, 0), is PSD, yet the file is no density matrix
+    diag = [0.7, 0.4, -0.1, 0.0, 0.0, 0.0]
+    rows = [" ".join(f"{diag[i] if i == j else 0} 0" for j in range(6)) for i in range(6)]
+    p = tmp_path / "indefinite.fermirdm"
+    p.write_text("fermirdm 4 2 unit\n" + "\n".join(rows) + "\n")
+    assert cli.main([command, str(p), "--k", "1"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("fermient: error: ") and err.count("\n") == 1

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,13 @@ def test_purity():
     assert purity(eig_herm(np.eye(2) / 2, vectors=False)) == pytest.approx(0.5)
 
 
+def test_purity_refuses_non_finite_input():
+    for obj in (Spectrum(np.array([np.nan, 1.0])), Spectrum(np.array([np.inf, 0.0])),
+                np.full((2, 2), np.nan)):
+        with pytest.raises(ShapeError, match="non-finite"):
+            purity(obj)
+
+
 def test_state_entropy_gram_equals_dense():
     basis = RankedBasis(5, 2)
     mix = convex_mixture([0.3, 0.7], [random_pure_state(basis, seed=1),
@@ -189,6 +197,47 @@ def test_subadd_n_factored_matches_dense():
     assert rep_fac.rhs == pytest.approx(rep_dense.rhs, abs=1e-6)
 
 
+@pytest.mark.parametrize("state, grouping", [
+    (convex_mixture([0.3, 0.7], [slater_state(RankedBasis(4, 3), (0, 1, 2)),
+                                 slater_state(RankedBasis(4, 3), (1, 2, 3))]), None),
+    (random_pure_state(RankedBasis(3, 3), seed=2), [(0, 1), (2,)]),
+    (random_pure_state(RankedBasis(5, 2), seed=4), None),
+    (convex_mixture([0.4, 0.6], [slater_state(RankedBasis(4, 2), (0, 1)),
+                                 slater_state(RankedBasis(4, 2), (1, 3))]), None),
+])
+def test_subadd_n_routes_agree_to_rounding(state, grouping):
+    # both routes read S(rho), the marginals and the trace form from the same
+    # support pairs, so they differ only by rounding
+    t = embed_state_full(state)
+    fac = subadd_remainder_n(t, grouping)
+    dense = subadd_remainder_n(TensorDM(t.parties, t.local_dim, t.dense()), grouping)
+    np.testing.assert_allclose(fac.context["S_blocks"], dense.context["S_blocks"],
+                               rtol=0, atol=1e-12)
+    assert fac.context["trace_form"] == pytest.approx(dense.context["trace_form"],
+                                                      abs=1e-12)
+    assert fac.lhs == pytest.approx(dense.lhs, abs=1e-12)
+
+
+def test_factored_tensor_past_capacity_is_never_materialized():
+    t = embed_state_full(slater_state(RankedBasis(17, 3), (0, 1, 2)))
+    assert t.matrix is None and t.dim > CAP.tensor_dim     # 17**3 = 4913
+    # the dense matrix would hold 4913**2 complex entries, 386 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            tensor_ptrace(t, (0,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+    with pytest.raises(CapacityError):
+        extension_spec_from_tripartite(t)
+    # the factored route never needs the dense matrix: a determinant sits at
+    # equality
+    rep = subadd_remainder_n(t)
+    assert rep.holds and rep.lhs == pytest.approx(rep.rhs, abs=1e-12)
+
+
 def test_subadd_checks_its_square_roots(monkeypatch):
     real = hermlin.sqrt_from_spectrum
     monkeypatch.setattr(hermlin, "sqrt_from_spectrum",
@@ -265,6 +314,12 @@ def test_elem_sym_validation():
         elem_sym(3, [0.5])
     with pytest.raises(CapacityError):
         elem_sym_direct(np.full(40, 1 / 40), 20)
+
+
+def test_elem_sym_direct_refuses_non_finite_eigenvalues():
+    for lam in ([np.nan, 1.0], [np.inf, 0.5, 0.5], [np.inf, -np.inf]):
+        with pytest.raises(ShapeError, match="non-finite"):
+            elem_sym_direct(lam, 1)
 
 
 def test_nbody_bound_slater_equality():

@@ -421,6 +421,21 @@ def test_brute_force_memory_stays_within_its_guard():
         assert pos.size * M ** (N - k) <= M ** N
 
 
+def test_four_mode_gather_table_is_the_hodge_dual():
+    # ef_exact_m4's dual e_I -> merge_sign(I, J) e_J, J the complement of I,
+    # is the gather table of the filled four-mode determinant at k = 2
+    from fermient.rdmcore import gather_amplitudes
+
+    masks = [unrank(RankedBasis(4, 2), i) for i in range(6)]
+    dual = np.zeros((6, 6))
+    for i, mask in enumerate(masks):
+        dual[i, masks.index(0b1111 ^ mask)] = merge_sign(mask, 0b1111 ^ mask)
+    table = gather_amplitudes(np.ones(1), 4, 4, 2)
+    np.testing.assert_array_equal(table, dual)
+    # exchanging two 2-sets is an even permutation, so the dual is symmetric
+    np.testing.assert_array_equal(table, table.T)
+
+
 def test_rescale_refuses_a_non_finite_trace():
     r = reduce_pure(slater_state(RankedBasis(4, 2), (0, 1)), 1)
     r = ReducedDM(r.k, r.basis, np.full_like(r.matrix, np.nan), UNIT, r.n_particles)

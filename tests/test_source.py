@@ -127,3 +127,17 @@ def test_party_axes_are_permuted_only_in_rdmcore():
                   or (getattr(node.func, "attr", None) == "transpose"
                       and axes(node)[:2] == [1, 0]))]
     assert sites == []
+
+
+def test_mode_bitmasks_are_read_only_below_the_reduction_layer():
+    # colex masks, merge signs and sorted ranks live in fockbasis, statekit and
+    # rdmcore; above them every wedge map (the four-mode Hodge dual too) reads
+    # rdmcore's gather table
+    names = ("colex_masks", "merge_sign", "spread_bits", "searchsorted")
+    sites = [f"{name}:{node.lineno}" for name, tree in _trees().items()
+             if name not in ("fockbasis.py", "statekit.py", "rdmcore.py")
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and (getattr(node.func, "attr", None) in names
+                  or getattr(node.func, "id", None) in names)]
+    assert sites == []
