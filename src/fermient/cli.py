@@ -46,7 +46,7 @@ from .entmeasures import (EfOptions, LN2, ef_optimize, mutual_info_bounds,
                           purity, vn_entropy, yang_analytics)
 from .errors import CapacityError, FermientError, NumericalError
 from .fockbasis import RankedBasis, binom
-from .hermlin import eig_herm, support
+from .hermlin import Spectrum, eig_herm, support
 from .rdmcore import (PHYSICS, UNIT, ReducedDM, dumps_rdm, embed_wedge_to_tensor,
                       loads_rdm, ptrace_rdm, reduce_mixed, rescale)
 from .report import (REPORT_COLUMNS, fmt17, json_value, read_text, records,
@@ -182,32 +182,39 @@ def cmd_state(args, tol: Tolerances) -> int:
     return 0
 
 
-def _unit_rdm(path: str, k: int | None, tol: Tolerances) -> ReducedDM | None:
+def _unit_rdm(path: str, k: int | None,
+              tol: Tolerances) -> tuple[ReducedDM, Spectrum] | tuple[None, None]:
     """The unit-trace k-RDM of a state or RDM file (an RDM is traced down, never
-    raised); k = None keeps an RDM's own k and gives None for a pure state.
-    An RDM file whose spectrum is materially negative is refused whatever k,
-    since tracing it down can hide the negative eigenvalue."""
+    raised) and its eigenvalues; k = None keeps an RDM's own k and gives
+    (None, None) for a pure state. An RDM file whose spectrum is materially
+    negative is refused whatever k, since tracing it down can hide the
+    negative eigenvalue; at the file's own k the spectrum of that check is
+    the one returned, so the matrix is solved once."""
     text = read_text(path)
     head = next(records(text), [None])[0]
     if head == "fermistate":
         st = loads_state(text)          # validated even when k is None
-        return None if k is None else reduce_mixed(st, k)
-    if head != "fermirdm":
+        if k is None:
+            return None, None
+        r = reduce_mixed(st, k)
+    elif head != "fermirdm":
         raise FermientError(f"{path}: empty file" if head is None
                             else f"{path}: unknown header {head!r}")
-    r = loads_rdm(text)
-    r = r if r.normalization == UNIT else rescale(r, UNIT, tol)
-    support(eig_herm(r.matrix, vectors=False, tol=tol), tol)
-    if k is None or k == r.k:
-        return r
-    if k > r.k:
-        raise FermientError(f"cannot raise a {r.k}-RDM to k={k}")
-    return ptrace_rdm(r, k)
+    else:
+        r = loads_rdm(text)
+        r = r if r.normalization == UNIT else rescale(r, UNIT, tol)
+        spec = eig_herm(r.matrix, vectors=False, tol=tol)
+        support(spec, tol)
+        if k is None or k == r.k:
+            return r, spec
+        if k > r.k:
+            raise FermientError(f"cannot raise a {r.k}-RDM to k={k}")
+        r = ptrace_rdm(r, k)
+    return r, eig_herm(r.matrix, vectors=False, tol=tol)
 
 
 def cmd_rdm(args, tol: Tolerances) -> int:
-    r = _unit_rdm(args.input, args.k, tol)
-    spec = eig_herm(r.matrix, vectors=False, tol=tol)
+    r, spec = _unit_rdm(args.input, args.k, tol)
     entropy = vn_entropy(spec, tol)
     scale = 1.0
     if args.norm == PHYSICS:
@@ -224,11 +231,10 @@ def cmd_rdm(args, tol: Tolerances) -> int:
 
 
 def cmd_entropy(args, tol: Tolerances) -> int:
-    r = _unit_rdm(args.input, args.k, tol)
+    r, spec = _unit_rdm(args.input, args.k, tol)
     if r is None:
         kind, s, pur = "pure-state", 0.0, 1.0
     else:
-        spec = eig_herm(r.matrix, vectors=False, tol=tol)
         kind, s, pur = f"{r.k}-rdm", vn_entropy(spec, tol), purity(spec)
     unit = "nats"
     shown = s

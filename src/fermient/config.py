@@ -40,8 +40,9 @@ class Capacities:
     tensor_dim: int = 4096           # max dense tensor-product dimension
     brute_force: int = 100_000       # max M**N for the dense oracle
     elem_terms: int = 1_000_000      # max subset-sum terms in elem_sym_direct
-    dense_eig: int = 512             # max dimension of subadd_remainder_n's dense
-                                     # route (its only reader)
+    dense_eig: int = 4096            # max dimension of an unfactored input to the
+                                     # subadditivity remainders; = tensor_dim, so
+                                     # no buildable two-party matrix is refused
     max_modes: int = 64              # bitmask width
     ef_rank: int = 64                # max support rank accepted by ef_optimize
 

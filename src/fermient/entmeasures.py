@@ -6,8 +6,9 @@ verdict threshold is the shared bound_slack tolerance.
 
 Conventions:
   * vn_entropy(rho) = -sum lambda ln lambda over the support.
-  * subadd_remainder checks S12 - S1 - S2 <= 2 ln Tr[sqrt(rho12) sqrt(rho1 x rho2)]
-    (the trace form equals 1 - (1/2) Tr[(sqrt(rho12) - sqrt(rho1 x rho2))^2]).
+  * subadd_remainder checks S12 - S1 - S2 <= 2 ln Tr[sqrt(rho12) sqrt(rho1 x rho2)],
+    the two-block case of subadd_remainder_n; both read every term from the
+    support pairs of rho (_remainder_terms), with no sqrt(rho) or kron.
   * ef_optimize upper-bounds the entanglement of formation by minimizing the
     average marginal entropy over pure-state ensembles parametrized through
     the mixture (Schroedinger-HJW) theorem: members w = U x, with x the rows
@@ -35,7 +36,7 @@ from .config import CAP, TOL, Capacities, Tolerances
 from .errors import (CapacityError, NormalizationError, RangeError,
                      ShapeError)
 from .fockbasis import RankedBasis
-from .hermlin import Spectrum, eig_herm, kron, psd_root, support, trace_product
+from .hermlin import Spectrum, eig_herm, psd_root, support, trace_product
 from .rdmcore import (ReducedDM, TensorDM, UNIT, gather_amplitudes,
                       project_antisymmetric, reduce_mixed, reduce_pure,
                       scatter_amplitudes, tensor_ptrace)
@@ -166,34 +167,17 @@ def subadd_remainder(t: TensorDM, rho1: np.ndarray | None = None,
                      tol: Tolerances = TOL) -> BoundReport:
     """S12 - S1 - S2 <= 2 ln Tr[sqrt(rho12) sqrt(rho1 x rho2)] on two parties.
 
-    Marginals are computed from rho12 (and checked against rho1/rho2 when
-    supplied). The report context carries both routes to the trace form.
+    The two-block case of subadd_remainder_n (see _remainder_terms). The
+    marginals are checked against rho1/rho2 when supplied. The report context
+    carries both routes to the trace form.
     """
     if t.parties != 2:
         raise ShapeError("subadd_remainder needs a two-party density matrix")
-    m1 = tensor_ptrace(t, (0,))
-    m2 = tensor_ptrace(t, (1,))
-    for given, computed, label in ((rho1, m1, "rho1"), (rho2, m2, "rho2")):
-        if given is not None:
-            gap = float(np.linalg.norm(np.asarray(given) - computed))
-            if not gap <= tol.marginal_match:
-                raise ShapeError(f"{label} differs from the true marginal by {gap:.3e}")
-    s12, a = _entropy_and_root(t.dense(), tol)
-    (s1, r1), (s2, r2) = (_entropy_and_root(m, tol) for m in (m1, m2))
-    b = kron(r1, r2)
-    tr = trace_product(a, b)
-    diff = a - b
-    tr_alt = 1.0 - 0.5 * trace_product(diff, diff)
-    lhs = s12 - s1 - s2
-    rhs = 2.0 * math.log(tr) if tr > 0.0 else -math.inf
+    lhs, rhs, s12, (s1, s2), tr, tr_alt = _remainder_terms(
+        t, [(0,), (1,)], tol, CAP, given=(rho1, rho2))
     ctx = {"S12": s12, "S1": s1, "S2": s2, "trace_form": tr,
            "trace_form_alt": tr_alt, "local_dim": t.local_dim}
     return bound_report("subadd/remainder", lhs, rhs, "<=", tol, **ctx)
-
-
-def _entropy_and_root(a: np.ndarray, tol: Tolerances) -> tuple[float, np.ndarray]:
-    spec, root = psd_root(a, tol)
-    return vn_entropy(spec, tol), root
 
 
 def _contiguous_blocks(parties: int, grouping) -> list[tuple[int, ...]]:
@@ -206,30 +190,30 @@ def _contiguous_blocks(parties: int, grouping) -> list[tuple[int, ...]]:
     return blocks
 
 
-def _apply_blockwise(vecs: np.ndarray, mats: tuple[np.ndarray, ...],
-                     dims: list[int]) -> np.ndarray:
-    """Apply (B_0 x B_1 x ...) to every column of vecs, reshaped over the
-    block dims."""
-    arr = vecs.reshape(*dims, -1)
-    for i, mat in enumerate(mats):
-        arr = np.moveaxis(np.tensordot(mat, arr, axes=([1], [i])), 0, i)
-    return arr.reshape(vecs.shape)
+def _apply_blockwise(vecs: np.ndarray, mats) -> np.ndarray:
+    """Apply (B_0 x B_1 x ...) to every column of vecs, one matmul per block;
+    B_b may be rectangular, its columns matching block b's dimension."""
+    arr, prefix = vecs, 1
+    for mat in mats:
+        arr = mat @ arr.reshape(prefix, mat.shape[1], -1)
+        prefix *= mat.shape[0]
+    return arr.reshape(prefix, -1)
 
 
-def subadd_remainder_n(t: TensorDM, grouping=None, tol: Tolerances = TOL,
-                       cap: Capacities = CAP) -> BoundReport:
-    """Grouped n-party version: S(rho) - sum_b S(rho_b) <= 2 ln Tr[sqrt(rho) x_b sqrt(rho_b)].
-
-    Blocks must be contiguous runs of parties. Both routes reduce rho to its
-    support pairs (lambda_a, e_a), and everything is read from them: S(rho),
-    each marginal rho_b = sum_a lambda_a Tr_rest |e_a><e_a| and
-    Tr = sum_a sqrt(lambda_a) <e_a| x_b sqrt(rho_b) |e_a>. Factored inputs
-    (from embed_state_full) take the pairs from their Gram spectrum, so large
-    fermionic tensors never hit the dense eigensolver.
-    """
-    blocks = _contiguous_blocks(t.parties, grouping)
+def _remainder_terms(t: TensorDM, blocks: list[tuple[int, ...]], tol: Tolerances,
+                     cap: Capacities, given=()) -> tuple:
+    """lhs, rhs, S(rho), [S(rho_b)], the trace form and its second route, all
+    read from rho's support pairs (lambda_a, e_a):
+      * rho_b = sum_a lambda_a Tr_rest |e_a><e_a|, checked against given[b]
+        where that is not None; its spectrum and root from one psd_root;
+      * Tr = sum_a sqrt(lambda_a) <e_a| x_b sqrt(rho_b) |e_a>;
+      * the second route skips the roots and reads the marginals' own support
+        pairs (p_i, f_i): sum_a sqrt(lambda_a) sum_I prod_b sqrt(p_{i_b})
+        |<x_b f_{i_b}|e_a>|^2.
+    Factored inputs take the pairs from their Gram spectrum, so large fermionic
+    tensors never hit the dense eigensolver; dense ones are guarded by
+    cap.dense_eig."""
     d = t.local_dim
-    block_dims = [d ** len(b) for b in blocks]
     if t.factors is not None:
         w, vecs = t.factors
         spec = eig_herm(_mixture_gram(w, vecs), vectors=True, tol=tol)
@@ -238,21 +222,43 @@ def subadd_remainder_n(t: TensorDM, grouping=None, tol: Tolerances = TOL,
     else:
         if t.dim > cap.dense_eig:
             raise CapacityError(
-                f"dense n-party remainder limited to dim {cap.dense_eig}, got {t.dim}")
+                f"dense subadditivity remainder limited to dim {cap.dense_eig}, "
+                f"got {t.dim}")
         spec = eig_herm(t.dense(), vectors=True, tol=tol)
         lam, basis_vecs = support(spec, tol)
     marginals = []
     for b in blocks:
         v = basis_vecs.T.reshape(len(lam), d ** b[0], d ** len(b), -1)
         marginals.append(np.einsum("i,iabc,iadc->bd", lam, v, v.conj()))
+    for i, (want, got) in enumerate(zip(given, marginals)):
+        if want is not None:
+            gap = float(np.linalg.norm(np.asarray(want) - got))
+            if not gap <= tol.marginal_match:
+                raise ShapeError(f"rho{i + 1} differs from the true marginal by {gap:.3e}")
+    specs, roots = zip(*(psd_root(m, tol) for m in marginals))
     s_full = vn_entropy(spec, tol)
-    s_blocks, roots = zip(*(_entropy_and_root(rb, tol) for rb in marginals))
-    image = _apply_blockwise(basis_vecs, roots, block_dims)
-    tr = float(np.sqrt(lam) @ np.einsum("ia,ia->a", basis_vecs.conj(), image).real)
+    s_blocks = [vn_entropy(s, tol) for s in specs]
+    amp = np.sqrt(lam)
+    image = _apply_blockwise(basis_vecs, roots)
+    tr = float(amp @ np.einsum("ia,ia->a", basis_vecs.conj(), image).real)
+    quarter = [(f * p ** 0.25).conj().T for p, f in (support(s, tol) for s in specs)]
+    tr_alt = float(amp @ np.sum(np.abs(_apply_blockwise(basis_vecs, quarter)) ** 2, axis=0))
     lhs = s_full - sum(s_blocks)
     rhs = 2.0 * math.log(tr) if tr > 0.0 else -math.inf
-    ctx = {"S_full": s_full, "S_blocks": list(s_blocks), "trace_form": tr,
-           "blocks": [list(b) for b in blocks]}
+    return lhs, rhs, s_full, s_blocks, tr, tr_alt
+
+
+def subadd_remainder_n(t: TensorDM, grouping=None, tol: Tolerances = TOL,
+                       cap: Capacities = CAP) -> BoundReport:
+    """Grouped n-party version: S(rho) - sum_b S(rho_b) <= 2 ln Tr[sqrt(rho) x_b sqrt(rho_b)].
+
+    Blocks must be contiguous runs of parties. Every term, on the factored and
+    the dense route, is read from rho's support pairs (see _remainder_terms).
+    """
+    blocks = _contiguous_blocks(t.parties, grouping)
+    lhs, rhs, s_full, s_blocks, tr, tr_alt = _remainder_terms(t, blocks, tol, cap)
+    ctx = {"S_full": s_full, "S_blocks": s_blocks, "trace_form": tr,
+           "trace_form_alt": tr_alt, "blocks": [list(b) for b in blocks]}
     return bound_report("subadd/remainder-n", lhs, rhs, "<=", tol, **ctx)
 
 

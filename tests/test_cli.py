@@ -109,6 +109,29 @@ def test_entropy_cannot_raise_an_rdm_file(tmp_path, capsys):
     assert "cannot raise a 2-RDM to k=3" in captured.err
 
 
+@pytest.mark.parametrize("argv", [["entropy"], ["entropy", "--k", "2"], ["rdm", "--k", "2"]])
+def test_an_rdm_file_at_its_own_k_is_solved_once(tmp_path, capsys, monkeypatch, argv):
+    # the spectrum that validates the file is the one reported; a file traced
+    # down to a lower k needs a second solve
+    p = _write_yang(tmp_path, 3, 2)
+    r2 = tmp_path / "two.fermirdm"
+    assert cli.main(["rdm", str(p), "--k", "2", "--out", str(r2)]) == 0
+    capsys.readouterr()
+    dims = []
+    real = cli.eig_herm
+
+    def counted(a, *args, **kwargs):
+        dims.append(len(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "eig_herm", counted)
+    assert cli.main([argv[0], str(r2), *argv[1:]]) == 0
+    assert dims == [15]
+    dims.clear()
+    assert cli.main([argv[0], str(r2), "--k", "1"]) == 0
+    assert dims == [15, 6]
+
+
 def test_entropy_pure_state_without_k(tmp_path, capsys):
     p = _write_yang(tmp_path, 2, 1)
     capsys.readouterr()

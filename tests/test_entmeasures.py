@@ -53,6 +53,7 @@ from fermient import (
     yang_state,
 )
 from fermient import TOL, NumericalError, entmeasures, hermlin, statekit
+from fermient import suites
 from fermient.rdmcore import PHYSICS, tensor_ptrace
 from fermient.report import report_json_line
 
@@ -283,6 +284,53 @@ def test_subadd_n_dense_capacity():
     small = dataclasses.replace(CAP, dense_eig=4)
     with pytest.raises(CapacityError):
         subadd_remainder_n(t, cap=small)
+
+
+def _two_party_inputs(entries):
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    return ([embed_wedge_to_tensor(e.rdm(2)) for e in entries if e.basis.n_particles >= 2]
+            + [random_two_party_dm(d, rank=r, seed=10 * d + r)
+               for d in (2, 3, 4) for r in (1, d, d * d)]
+            + [TensorDM(parties=2, local_dim=3, matrix=np.kron(rho, rho))])
+
+
+def test_subadd_two_party_is_the_two_block_remainder(corpus_lite):
+    # one rule: the two-party report is the n-party core on blocks (0,), (1,)
+    for t in _two_party_inputs(corpus_lite):
+        two, n = subadd_remainder(t), subadd_remainder_n(t)
+        assert two.lhs == pytest.approx(n.lhs, abs=1e-12)
+        assert two.rhs == pytest.approx(n.rhs, abs=1e-12)
+        assert two.context["trace_form"] == pytest.approx(n.context["trace_form"],
+                                                          abs=1e-12)
+        np.testing.assert_allclose([two.context["S1"], two.context["S2"]],
+                                   n.context["S_blocks"], rtol=0, atol=1e-12)
+
+
+def test_subadd_trace_form_alt_does_not_read_the_roots(monkeypatch):
+    run = suites.SuiteRun(seed=1, n_random=12, M=None, N=None, states=(), tol=TOL,
+                          ef=EfOptions())
+    for rep in suites.subadd(run):
+        assert rep.context["trace_form"] == pytest.approx(rep.context["trace_form_alt"],
+                                                          abs=1e-12)
+    real = entmeasures.psd_root
+
+    def scaled(a, tol):
+        spec, root = real(a, tol)
+        return spec, 1.001 * root
+
+    monkeypatch.setattr(entmeasures, "psd_root", scaled)
+    rep = subadd_remainder(random_two_party_dm(3, rank=2, seed=4))
+    assert abs(rep.context["trace_form"] - rep.context["trace_form_alt"]) > 1e-4
+
+
+def test_subadd_accepts_every_two_party_matrix_up_to_tensor_dim():
+    # 23**2 = 529 lies above the old dense_eig of 512 and within tensor_dim
+    t = random_two_party_dm(23, 3, seed=5)
+    assert t.dim <= CAP.tensor_dim <= CAP.dense_eig
+    rep = subadd_remainder(t)
+    assert rep.holds and rep.slack == pytest.approx(0.16848942339358, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

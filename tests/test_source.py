@@ -141,3 +141,21 @@ def test_mode_bitmasks_are_read_only_below_the_reduction_layer():
              and (getattr(node.func, "attr", None) in names
                   or getattr(node.func, "id", None) in names)]
     assert sites == []
+
+
+def test_only_suites_builds_kronecker_products():
+    # the subadditivity remainders apply x_b sqrt(rho_b) block by block; only the
+    # product-state cases of the subadd suite build rho1 x rho2 (hermlin.kron
+    # wraps np.kron under the tensor_dim guard)
+    def calls(tree):
+        inside = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "kron"
+                  for node in ast.walk(fn)}
+        return [node for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and id(node) not in inside
+                and "kron" in (getattr(node.func, "attr", None),
+                               getattr(node.func, "id", None))]
+
+    sites = [f"{name}:{node.lineno}" for name, tree in _trees().items()
+             for node in calls(tree)]
+    assert sites and all(site.startswith("suites.py:") for site in sites), sites
