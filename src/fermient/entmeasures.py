@@ -212,11 +212,13 @@ def _remainder_terms(t: TensorDM, blocks: list[tuple[int, ...]], tol: Tolerances
         |<x_b f_{i_b}|e_a>|^2.
     Factored inputs take the pairs from their Gram spectrum, so large fermionic
     tensors never hit the dense eigensolver; dense ones are guarded by
-    cap.dense_eig."""
+    cap.dense_eig. No term depends on the basis inside a degenerate cluster or
+    on a vector's phase, so every solve here takes LAPACK's vectors as they
+    come (canonical=False)."""
     d = t.local_dim
     if t.factors is not None:
         w, vecs = t.factors
-        spec = eig_herm(_mixture_gram(w, vecs), vectors=True, tol=tol)
+        spec = eig_herm(_mixture_gram(w, vecs), vectors=True, tol=tol, canonical=False)
         lam, gvecs = support(spec, tol)
         basis_vecs = ((vecs * np.sqrt(w)) @ gvecs) / np.sqrt(lam)
     else:
@@ -224,7 +226,7 @@ def _remainder_terms(t: TensorDM, blocks: list[tuple[int, ...]], tol: Tolerances
             raise CapacityError(
                 f"dense subadditivity remainder limited to dim {cap.dense_eig}, "
                 f"got {t.dim}")
-        spec = eig_herm(t.dense(), vectors=True, tol=tol)
+        spec = eig_herm(t.dense(), vectors=True, tol=tol, canonical=False)
         lam, basis_vecs = support(spec, tol)
     marginals = []
     for b in blocks:

@@ -1,13 +1,19 @@
-"""Dense Hermitian linear algebra on LAPACK, in a canonical form.
+"""Dense Hermitian linear algebra on LAPACK, in a canonical form where a
+basis is read.
 
-`eig_herm` takes spectra from LAPACK (`eigvalsh`, or `eigh` for vectors) and
-returns them in a form free of LAPACK's arbitrary choices: eigenvalues
-descending; in each cluster of eigenvalues within tol.eig_residual * ||A|| of
-its first, the basis that pivoted Gram-Schmidt builds from the columns of the
+`eig_herm` takes spectra from LAPACK (`eigvalsh`, or `eigh` for vectors),
+eigenvalues descending. By default its vectors are free of LAPACK's arbitrary
+choices: in each cluster of eigenvalues within tol.eig_residual * ||A|| of its
+first, the basis that pivoted Gram-Schmidt builds from the columns of the
 cluster's projector V V^+; each vector's largest-modulus entry real positive.
-Eigenpairs (eig_residual) and square roots (sqrt_square) are checked, and a
-failed check raises NumericalError. `support` alone judges an eigenvalue
-non-finite or negative (errors), zero or kept, for roots, entropies and ensembles.
+The E_f optimizer's start and ef_exact_m4 read that basis. psd_root and the
+subadditivity remainder take LAPACK's vectors as they come (canonical=False):
+they read only quantities that do not depend on the basis (roots, sums of
+projectors, entropies, |<f|e>|^2), so a canonical basis, of the null space
+too, would be thrown away at `support`. Eigenpairs (eig_residual) and square
+roots (sqrt_square) are checked on every route, and a failed check raises
+NumericalError. `support` alone judges an eigenvalue non-finite or negative
+(errors), zero or kept, for roots, entropies and ensembles.
 """
 
 from __future__ import annotations
@@ -58,9 +64,16 @@ def _cluster_basis(v: np.ndarray, rel: float) -> np.ndarray:
     return out
 
 
-def eig_herm(a: np.ndarray, vectors: bool = True, tol: Tolerances = TOL) -> Spectrum:
-    """Eigenvalues (descending) and optionally canonical eigenvectors, checked
-    to max |A U - U diag(lam)| <= tol.eig_residual * max(||A||, 1)."""
+def eig_herm(a: np.ndarray, vectors: bool = True, tol: Tolerances = TOL, *,
+             canonical: bool = True) -> Spectrum:
+    """Eigenvalues (descending) and optionally eigenvectors, checked to
+    max |A U - U diag(lam)| <= tol.eig_residual * max(||A||, 1).
+
+    The vectors are canonical (see the module docstring) unless canonical is
+    False; then they are LAPACK's, column-reversed: deterministic for a given
+    input on one BLAS thread, but arbitrary in phase and inside a degenerate
+    cluster, so only callers that read no basis (psd_root and the
+    subadditivity remainder) pass False."""
     A = as_hermitian(a, tol)
     if not vectors:
         return Spectrum(eigenvalues=np.linalg.eigvalsh(A)[::-1].copy())
@@ -68,19 +81,20 @@ def eig_herm(a: np.ndarray, vectors: bool = True, tol: Tolerances = TOL) -> Spec
     lam, U = lam[::-1].copy(), U[:, ::-1].copy()
     rel = tol.eig_residual
     norm = float(np.abs(lam).max(initial=0.0))
-    vals = lam.tolist()
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[start] - vals[i] > rel * norm:
-            if i - start > 1:
-                U[:, start:i] = _cluster_basis(U[:, start:i], rel)
-            start = i
-    if U.size:   # phase: the first entry within rel of the largest modulus
-        cols = np.arange(U.shape[1])
-        mag = np.abs(U)
-        lead = np.argmax(mag >= mag.max(axis=0) * (1.0 - rel), axis=0)
-        U *= mag[lead, cols] / U[lead, cols]
-        U[lead, cols] = mag[lead, cols]
+    if canonical:
+        vals = lam.tolist()
+        start = 0
+        for i in range(1, len(vals) + 1):
+            if i == len(vals) or vals[start] - vals[i] > rel * norm:
+                if i - start > 1:
+                    U[:, start:i] = _cluster_basis(U[:, start:i], rel)
+                start = i
+        if U.size:   # phase: the first entry within rel of the largest modulus
+            cols = np.arange(U.shape[1])
+            mag = np.abs(U)
+            lead = np.argmax(mag >= mag.max(axis=0) * (1.0 - rel), axis=0)
+            U *= mag[lead, cols] / U[lead, cols]
+            U[lead, cols] = mag[lead, cols]
     resid = float(np.abs(A @ U - U * lam).max(initial=0.0))
     if not resid <= rel * max(norm, 1.0):
         raise NumericalError(f"eigen-residual {resid:.3e} exceeds "
@@ -114,11 +128,12 @@ def sqrt_from_spectrum(spec: Spectrum, tol: Tolerances = TOL) -> np.ndarray:
 
 
 def psd_root(a: np.ndarray, tol: Tolerances = TOL) -> tuple[Spectrum, np.ndarray]:
-    """Spectrum and Hermitian square root of a PSD matrix from one eigensolve,
-    taken on the support. Checked against the input: max |R R - A| <=
-    tol.sqrt_square * ||A|| + the largest dropped |eigenvalue| + the
-    non-Hermitian part eig_herm lets through, tol.hermiticity * max(||A||, 1)."""
-    spec = eig_herm(a, vectors=True, tol=tol)
+    """Spectrum (LAPACK's vectors, not canonical) and Hermitian square root of
+    a PSD matrix from one eigensolve, taken on the support. Checked against
+    the input: max |R R - A| <= tol.sqrt_square * ||A|| + the largest dropped
+    |eigenvalue| + the non-Hermitian part eig_herm lets through,
+    tol.hermiticity * max(||A||, 1)."""
+    spec = eig_herm(a, vectors=True, tol=tol, canonical=False)
     root = sqrt_from_spectrum(spec, tol)
     lam = spec.eigenvalues
     norm = float(np.abs(lam).max(initial=0.0))

@@ -333,6 +333,50 @@ def test_subadd_accepts_every_two_party_matrix_up_to_tensor_dim():
     assert rep.holds and rep.slack == pytest.approx(0.16848942339358, abs=1e-12)
 
 
+def _count_cluster_bases(monkeypatch):
+    sizes = []
+    real = hermlin._cluster_basis
+
+    def counted(v, rel):
+        sizes.append(v.shape[1])
+        return real(v, rel)
+
+    monkeypatch.setattr(hermlin, "_cluster_basis", counted)
+    return sizes
+
+
+def test_subadd_remainder_leaves_the_null_space_basis_alone(monkeypatch):
+    # rank 3 in dim 529: the 526-fold zero cluster is dropped at support, so
+    # no solve of the remainder puts a degenerate cluster in canonical form
+    sizes = _count_cluster_bases(monkeypatch)
+    rep = subadd_remainder(random_two_party_dm(23, 3, seed=5))
+    assert sizes == []
+    assert rep.context["trace_form"] == pytest.approx(rep.context["trace_form_alt"],
+                                                      abs=1e-12)
+
+
+def test_subadd_reports_do_not_move_with_canonical_vectors(monkeypatch):
+    # the remainder's raw LAPACK vectors give the slacks the canonical basis gives
+    run = suites.SuiteRun(seed=1, n_random=12, M=None, N=None, states=(), tol=TOL,
+                          ef=EfOptions())
+    want = list(suites.subadd(run))
+    real = hermlin.eig_herm
+    asked = []
+
+    def always_canonical(a, vectors=True, tol=TOL, *, canonical=True):
+        asked.append(canonical)
+        return real(a, vectors, tol)
+
+    monkeypatch.setattr(hermlin, "eig_herm", always_canonical)
+    monkeypatch.setattr(entmeasures, "eig_herm", always_canonical)
+    sizes = _count_cluster_bases(monkeypatch)
+    got = list(suites.subadd(run))
+    assert False in asked and sizes        # the raw route was asked for and overridden
+    assert [r.name for r in got] == [r.name for r in want]
+    assert [r.holds for r in got] == [r.holds for r in want]
+    assert np.abs(np.subtract([r.slack for r in got], [r.slack for r in want])).max() <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # elementary symmetric polynomials
 

@@ -254,6 +254,20 @@ def test_sqrt_psd_of_rank_deficient_kron_is_the_kron_of_roots(d, seed):
             assert np.abs(sqrt_psd(kron(r1, r2)) - want).max() <= 1e-12
 
 
+def test_psd_root_takes_lapack_vectors_as_they_come(monkeypatch):
+    # psd_root reads no basis, so it skips the canonical form; eig_herm keeps it
+    a = _with_spectrum(_DEGENERATE[3], seed=0)
+    sizes = []
+    real = hermlin._cluster_basis
+    monkeypatch.setattr(hermlin, "_cluster_basis",
+                        lambda v, rel: sizes.append(v.shape[1]) or real(v, rel))
+    spec, root = hermlin.psd_root(a)
+    assert sizes == []
+    np.testing.assert_allclose(spec.eigenvalues, _DEGENERATE[3], atol=1e-12)
+    eig_herm(a)
+    assert sizes
+
+
 def test_subadd_reports_ignore_the_null_space_basis(monkeypatch):
     run = suites.SuiteRun(seed=1, n_random=12, M=None, N=None, states=(), tol=TOL,
                           ef=EfOptions())

@@ -53,6 +53,17 @@ def test_square_roots_outside_hermlin_are_checked():
     assert sites and all(site.startswith("hermlin.py:") for site in sites), sites
 
 
+def test_only_the_remainder_and_psd_root_take_raw_eigenvectors():
+    # ef_optimize's start and ef_exact_m4 read phi, so they keep the canonical basis
+    sites = [f"{name}:{fn.name}" for name, tree in _trees().items()
+             for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn) if isinstance(node, ast.Call)
+             for kw in node.keywords if kw.arg == "canonical"
+             and not (isinstance(kw.value, ast.Constant) and kw.value.value is True)]
+    assert sorted(sites) == ["entmeasures.py:_remainder_terms",
+                             "entmeasures.py:_remainder_terms", "hermlin.py:psd_root"], sites
+
+
 def test_files_are_opened_only_in_report():
     # report.read_text and report.write_text are the one reader and writer
     sites = [f"{name}:{node.lineno}" for name, tree in _trees().items()
