@@ -42,6 +42,7 @@ import numpy as np
 
 from . import __version__, suites
 from .config import TOL, Tolerances, tolerances_dict
+from .corpus import CorpusEntry
 from .entmeasures import (EfOptions, LN2, ef_optimize, mutual_info_bounds,
                           purity, vn_entropy, yang_analytics)
 from .errors import CapacityError, FermientError, NumericalError
@@ -52,7 +53,8 @@ from .rdmcore import (PHYSICS, UNIT, ReducedDM, dumps_rdm, embed_wedge_to_tensor
 from .report import (REPORT_COLUMNS, fmt17, json_value, read_text, records,
                      report_row, write_text)
 from .statekit import (YangParams, chi_pair_vector, convex_mixture, dumps_state,
-                       loads_state, random_pure_state, slater_state, yang_state)
+                       load_state, loads_state, random_pure_state, slater_state,
+                       yang_state)
 
 _TEXT_NUM = ".12g"
 
@@ -287,14 +289,18 @@ def _task_runner(spec):
 
 
 def cmd_verify(args, tol: Tolerances) -> int:
+    """Run the called suite, or all of them, and emit every report. Each
+    --states file is read once, here, before any suite runs or any worker
+    pool is asked for; the loaded entries reach the workers in the run."""
     took = vars(args)       # a suite's call holds only the options it takes
     ef = EfOptions()        # read only by the suites that take --restarts
     if "restarts" in took:
         ef = EfOptions(ensemble_size=args.ensemble, restarts=args.restarts,
                        seed=args.seed, max_iters=args.max_iters)
-    run = suites.SuiteRun(
-        seed=args.seed, n_random=args.random, M=took.get("M"), N=took.get("N"),
-        states=tuple(took.get("states", ())), tol=tol, ef=ef)
+    states = tuple(CorpusEntry(f"user-{i}-{path}", "user", load_state(path))
+                   for i, path in enumerate(took.get("states", ())))
+    run = suites.SuiteRun(seed=args.seed, n_random=args.random, M=took.get("M"),
+                          N=took.get("N"), states=states, tol=tol, ef=ef)
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     specs = [(name, run) for name in names]
     workers = min(args.jobs, len(specs))    # a pool starts every worker it is given

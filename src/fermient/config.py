@@ -2,10 +2,15 @@
 
 Every module pulls its settable thresholds from here, so a run can be
 reproduced from the single record embedded in CLI outputs. Fixed limits that
-no option changes live beside their code: `suites`' ROUTE_MATCH,
-CLOSED_FORM_MATCH and EF_FLOOR_GRACE, and the descent constants of
-`entmeasures` (_DESCENT_STEPS, _ARMIJO, _GRAD_FLOOR, _STEP_FLOOR, _FLOOR_GAP,
-_LOG_CLIP).
+no option changes live beside their code:
+  * `suites`' ROUTE_MATCH, CLOSED_FORM_MATCH and EF_FLOOR_GRACE;
+  * the descent constants of `entmeasures` (_DESCENT_STEPS, _ARMIJO,
+    _GRAD_FLOOR, _STEP_FLOOR, _FLOOR_GAP, _LOG_CLIP);
+  * `ef_optimize`'s 1e-15 margin for accepting a pair rotation and
+    `_finish`'s 1e-14 floor on a member's weight;
+  * `yang_analytics`' 1e-12 check that the closed-form spectrum sums to 1;
+  * `PureStateN`'s 1e-12 norm check and `convex_mixture`'s 1e-9 weight sum;
+  * `loads_rdm`'s 1e-6 match of a physics trace to C(N, k), which recovers N.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ RANDOM_SHAPES = ((4, 2), (4, 3), (5, 2), (5, 3), (5, 4), (6, 2), (6, 3), (6, 4))
 @dataclass
 class CorpusEntry:
     name: str
-    kind: str                       # slater | yang | chi | random | mixture
+    kind: str                       # slater | yang | chi | random | mixture | user
     state: PureStateN | MixedStateN
 
     @property

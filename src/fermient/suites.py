@@ -29,13 +29,15 @@ EF_FLOOR_GRACE = 1e-4      # ef/floor holds <=> E_f >= ln 2 - EF_FLOOR_GRACE
 
 @dataclass(frozen=True)
 class SuiteRun:
-    """What a suite reads: the corpus selection, tolerances and E_f settings."""
+    """What a suite reads: the corpus selection, tolerances and E_f settings.
+    `states` holds the --states files as corpus entries, read once by `cli`
+    before any suite runs, so a suite reads no file."""
 
     seed: int
     n_random: int
     M: int | None
     N: int | None
-    states: tuple[str, ...]
+    states: tuple[corpus.CorpusEntry, ...]
     tol: Tolerances
     ef: EfOptions
 
@@ -47,11 +49,8 @@ def _corpus(seed: int, n_random: int) -> list[corpus.CorpusEntry]:
 
 
 def entries(run: SuiteRun) -> list[corpus.CorpusEntry]:
-    """The run's corpus plus its state files, filtered by M and N."""
-    out = list(_corpus(run.seed, run.n_random))
-    for i, path in enumerate(run.states):
-        st = statekit.load_state(path)
-        out.append(corpus.CorpusEntry(f"user-{i}-{path}", "user", st))
+    """The run's corpus plus its loaded state files, filtered by M and N."""
+    out = [*_corpus(run.seed, run.n_random), *run.states]
     if run.M is not None:
         out = [e for e in out if e.basis.n_modes == run.M]
     if run.N is not None:

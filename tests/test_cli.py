@@ -12,7 +12,7 @@ import pytest
 
 from fermient import cli, hermlin, load_rdm, load_state, loads_state
 from fermient.errors import NumericalError
-from fermient.report import bound_report
+from fermient.report import bound_report, fmt17
 
 LN2 = math.log(2.0)
 
@@ -420,6 +420,55 @@ def test_verify_jobs_are_capped_at_the_suite_count(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_verify_reads_each_state_file_once(tmp_path, monkeypatch, capsys):
+    from fermient import statekit
+    p = tmp_path / "F.fermistate"
+    assert cli.main(["state", "random", "--M", "5", "--N", "3", "--seed", "4",
+                     "--out", str(p)]) == 0
+    capsys.readouterr()
+    reads = []
+    read_text = statekit.read_text
+
+    def spy(path):
+        reads.append(path)
+        return read_text(path)
+
+    monkeypatch.setattr(statekit, "read_text", spy)
+    assert cli.main(["verify", "all", "--random", "0", "--M", "5", "--states", str(p),
+                     "--restarts", "1", "--max-iters", "1"]) == 0
+    assert reads == [str(p)]
+    reports = _json_lines(capsys.readouterr().out)[1:]
+    assert {r["name"] for r in reports if r["context"].get("state") == f"user-0-{p}"} == {
+        "mutual-info/jensen", "mutual-info/purity", "subadd/remainder", "n-body/elem-sym",
+        "ef/floor"}
+
+
+def test_verify_refuses_a_missing_state_file_before_any_pool(tmp_path, monkeypatch, capsys):
+    import concurrent.futures
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    missing = tmp_path / "missing.fermistate"
+    assert cli.main(["verify", "all", "--jobs", "2", "--states", str(missing)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and requested == []
+    assert err.startswith("fermient: io error: ") and err.count("\n") == 1
+    assert str(missing) in err
+
+
 def test_one_particle_states_skip_the_2rdm_suites(tmp_path, capsys):
     p = tmp_path / "n1.fermistate"
     assert cli.main(["state", "slater", "--M", "3", "--occ", "1", "--out", str(p)]) == 0
@@ -700,3 +749,24 @@ def test_indefinite_rdm_file_is_refused_whatever_k(tmp_path, capsys, command):
 def test_state_kinds_name_their_missing_flags(argv, needs, capsys):
     assert cli.main(argv) == 2
     assert capsys.readouterr() == ("", f"fermient: error: state {needs}\n")
+
+
+def test_yang_without_pair_fraction_writes_an_infinite_squash_candidate(capsys):
+    # m = n = 1 fills the one mode pair: esq_bound_paper is +inf
+    assert cli.main(["yang", "--m", "1", "--n", "1"]) == 0
+    assert '"esq_upper_candidate": "Infinity"' in capsys.readouterr().out
+    assert cli.main(["yang", "--m", "1", "--n", "1", "--format", "csv"]) == 0
+    header, row = capsys.readouterr().out.splitlines()[-2:]
+    assert dict(zip(header.split(","), row.split(",")))["esq_upper_candidate"] == "Infinity"
+    assert (fmt17(math.nan), fmt17(-math.inf)) == ("NaN", "-Infinity")
+
+
+def test_bound_report_refuses_an_unknown_direction():
+    with pytest.raises(ValueError):
+        bound_report("x", 0.0, 0.0, "==")
+
+
+def test_mutual_slack_sweep_skips_more_particles_than_modes(capsys):
+    assert cli.main(["sweep", "mutual-slack", "--M-range", "3", "--N", "4"]) == 0
+    lines = _json_lines(capsys.readouterr().out)
+    assert len(lines) == 1 and "meta" in lines[0]

@@ -441,3 +441,37 @@ def test_rescale_refuses_a_non_finite_trace():
     r = ReducedDM(r.k, r.basis, np.full_like(r.matrix, np.nan), UNIT, r.n_particles)
     with pytest.raises(NormalizationError):
         rescale(r, PHYSICS)
+
+
+def test_factored_tensor_dm_builds_its_dense_matrix_from_the_factors():
+    rng = np.random.default_rng(4)
+    v = rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2))
+    w = np.array([0.7, 0.3])
+    got = TensorDM(2, 3, None, factors=(w, v)).dense()
+    np.testing.assert_array_equal(got, (v * w) @ v.conj().T)
+
+
+def test_rescale_to_its_own_normalization_is_an_equal_copy():
+    r = reduce_pure(yang_state(YangParams(2, 1)), 2)
+    same = rescale(r, r.normalization)
+    assert same.normalization == r.normalization and same.n_particles == r.n_particles
+    np.testing.assert_array_equal(same.matrix, r.matrix)
+    assert same.matrix is not r.matrix
+
+
+def test_antisymmetric_projection_refuses_three_parties():
+    t = TensorDM(parties=3, local_dim=2, matrix=np.eye(8) / 8)
+    with pytest.raises(ShapeError):
+        project_antisymmetric(t)
+
+
+def test_brute_force_reduce_refuses_k_outside_1_to_n():
+    st = slater_state(RankedBasis(4, 2), (0, 1))
+    for k in (0, 3):
+        with pytest.raises(RangeError):
+            brute_force_reduce(st, k)
+
+
+def test_loads_rdm_refuses_a_non_integer_k():
+    with pytest.raises(ShapeError, match="malformed fermirdm header"):
+        loads_rdm("fermirdm 4 x unit\n")

@@ -74,6 +74,24 @@ def test_files_are_opened_only_in_report():
     assert sites and all(site.startswith("report.py:") for site in sites), sites
 
 
+def test_user_files_are_read_only_in_cli():
+    # outside input enters through cli; the loaders themselves call read_text
+    readers = ("load_state", "load_rdm", "read_text")
+
+    def calls(tree):
+        inside = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name in readers
+                  for node in ast.walk(fn)}
+        return [node for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and id(node) not in inside
+                and {getattr(node.func, "attr", None),
+                     getattr(node.func, "id", None)} & set(readers)]
+
+    sites = [f"{name}:{node.lineno}" for name, tree in _trees().items()
+             for node in calls(tree)]
+    assert sites and all(site.startswith("cli.py:") for site in sites), sites
+
+
 def test_tolerances_are_resolved_once_in_main():
     calls = [fn.name for fn in ast.walk(_trees()["cli.py"]) if isinstance(fn, ast.FunctionDef)
              for node in ast.walk(fn)
