@@ -19,7 +19,8 @@ Conventions:
     eigvalsh. A restart that reaches the proven minimum (ln 2 on antisymmetric
     inputs) ends the run. ef_exact_m4 gives the exact value on four modes.
   * min_s2_search runs the same descent and kernel on unit amplitude vectors
-    (one-column isometries), the gradient scattered through the gather table.
+    (one-column isometries), the gradient scattered through the gather table;
+    its restarts are the lanes of one lockstep descent.
   * squashed_extension_value(ext) = (1/2)(-S123 - S3 + S13 + S23) for a
     tripartite extension of rho12; nonnegative by strong subadditivity.
 """
@@ -376,12 +377,15 @@ class EfResult:
 
 # The pair objective has period pi/2 in theta: theta + pi/2 maps the pair to
 # (u bot, -conj(u) top), and entropies ignore those phases. With phi in
-# [0, pi) (phi + pi is theta -> -theta) the grid covers every rotation.
+# [0, pi) (phi + pi is theta -> -theta) the grid covers every rotation. At
+# theta = 0 every phi is the identity, so that row is scored once, as (0, 0),
+# first: argmin then returns theta = 0 exactly when no rotation beats it.
 _ANGLES = np.linspace(0.0, math.pi / 2, 6, endpoint=False)
 _PHASES = np.linspace(0.0, math.pi, 6, endpoint=False)
 _TINY = 1e-18
 
-_COARSE_T, _COARSE_P = np.array([(t, p) for t in _ANGLES for p in _PHASES]).T
+_COARSE_T, _COARSE_P = np.array([(0.0, 0.0)] + [(t, p) for t in _ANGLES[1:]
+                                                for p in _PHASES]).T
 
 # Descent on isometries (E_f ensembles, min-S2 unit vectors): E_f takes at most
 # _DESCENT_STEPS conjugate gradient steps per restart; Armijo backtracking with
@@ -448,81 +452,151 @@ def _best_pair_rotation(wk: np.ndarray, wl: np.ndarray, d1: int, d2: int,
     return float(_COARSE_T[i0]), float(_COARSE_P[i0]), float(vals[i0])
 
 
-def _gram_entropy_grad(a: np.ndarray) -> tuple[float, np.ndarray]:
-    """Sum of _spectrum_contribs over the Grams P_k = A_k A_k^+ of a stack of
-    d1 x d2 matrices A_k, and its gradient in conj(A), from one batched eigh:
-    (ln lam_k - ln P_k) A_k with lam_k = Tr P_k."""
+def _gram_entropy_grad(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum of _spectrum_contribs over the Grams P_k = A_k A_k^+ of a stack
+    (..., K, d1, d2) of d1 x d2 matrices A_k, one sum per leading index, and
+    its gradient in conj(A), from one batched eigh: (ln lam_k - ln P_k) A_k
+    with lam_k = Tr P_k."""
     p, v = np.linalg.eigh(a @ a.conj().swapaxes(-1, -2))
     log_p = np.log(np.maximum(p, _LOG_CLIP))
     log_lam = np.log(np.maximum(p.sum(axis=-1), _LOG_CLIP))
-    g = v @ ((log_lam[:, None, None] - log_p[:, :, None])
+    g = v @ ((log_lam[..., None, None] - log_p[..., None])
              * (v.conj().swapaxes(-1, -2) @ a))
-    return float(_spectrum_contribs(p).sum()), g
+    return _spectrum_contribs(p).sum(axis=-1), g
 
 
 def _ensemble_value_grad(iso: np.ndarray, x: np.ndarray,
-                         d: int) -> tuple[float, np.ndarray]:
+                         d: int) -> tuple[np.ndarray, np.ndarray]:
     """Total of the members w = iso @ x (A_k the d x d reshape of w_k) and its
-    gradient in conj(iso), the member gradients times x^+."""
-    value, g = _gram_entropy_grad((iso @ x).reshape(-1, d, d))
-    return value, g.reshape(len(g), -1) @ x.conj().T
+    gradient in conj(iso), the member gradients times x^+; iso may carry
+    leading lane axes."""
+    w = iso @ x
+    value, g = _gram_entropy_grad(w.reshape(*w.shape[:-1], d, d))
+    return value, g.reshape(w.shape) @ x.conj().T
 
 
 def _tangent(iso: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Projection of g onto the tangent space of the isometries at iso."""
-    h = iso.conj().T @ g
-    return g - iso @ (0.5 * (h + h.conj().T))
+    """Projection of g onto the tangent space of the isometries at iso (both
+    (..., L, r))."""
+    h = iso.conj().swapaxes(-1, -2) @ g
+    return g - iso @ (0.5 * (h + h.conj().swapaxes(-1, -2)))
 
 
 def _retract(m: np.ndarray) -> np.ndarray:
-    """Q of m = QR with the phases of diag(R) moved into Q, so that a step of
-    length 0 returns the isometry itself."""
+    """Q of m = QR, per (..., L, r) slice, with the phases of diag(R) moved
+    into Q, so that a step of length 0 returns the isometry itself."""
     q, r = np.linalg.qr(m)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q *= (diag / np.abs(diag))[..., None, :]
+    return q
+
+
+def _lane_dots(a: np.ndarray, b: np.ndarray) -> list:
+    """Re <a_j, b_j> for each lane j of two (B, L, r) stacks, by np.vdot; a
+    single lane takes the whole stack, with no view per lane."""
+    if len(a) == 1:
+        return [np.vdot(a, b).real]
+    return [np.vdot(x, y).real for x, y in zip(a, b)]
 
 
 def _descend(iso: np.ndarray, value_grad, floor: float,
-             steps: int) -> tuple[np.ndarray, float]:
+             steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Polak-Ribiere+ conjugate gradient over the isometries (L x r) with
-    QR retraction (Audenaert, Verstraete & De Moor, PRA 64, 052304 (2001)) of
-    value_grad(iso) -> (value, gradient in conj(iso)); returns (iso, value).
+    QR retraction (Audenaert, Verstraete & De Moor, PRA 64, 052304 (2001)),
+    run on a stack (B, L, r) of B independent lanes in lockstep.
 
-    The previous direction is carried over by projecting it at the new point,
-    and replaced by the steepest descent direction when it does not descend.
-    The step shrinks (at least halving) until the Armijo condition holds and
-    doubles after each accepted step.
+    value_grad(stack) -> (values, gradients in conj(stack)) is called on the
+    lanes still moving, one candidate each. Returns the final isometries,
+    their values and each lane's evaluation count.
+
+    Each lane keeps its own step, direction, step count and stop tests (a
+    squared gradient norm below _GRAD_FLOOR, a value within _FLOOR_GAP of
+    floor, a step below _STEP_FLOOR, `steps` steps taken), and every array
+    operation acts on each lane's slice alone, so a lane's arithmetic is bit
+    for bit that of a one-lane run from the same start. The previous
+    direction is carried over by projecting it at the new point, and replaced
+    by the steepest descent direction when it does not descend. The step
+    shrinks (at least halving) until the Armijo condition holds and doubles
+    after each accepted step.
     """
+    out_iso, out_value = np.empty_like(iso), np.zeros(len(iso))
+    out_evals = np.zeros(len(iso), dtype=int)
+    iso = iso.copy()                    # lanes may be updated in place below
     value, g = value_grad(iso)
     xi = _tangent(iso, g)
     direction = -xi
-    step = 1.0
-    for _ in range(steps):
-        norm2 = np.vdot(xi, xi).real
-        if norm2 < _GRAD_FLOOR or value - floor <= _FLOOR_GAP:
-            break
-        slope = 2.0 * np.vdot(xi, direction).real     # d value / d step
-        if slope >= 0.0:
-            direction = -xi
-            slope = -2.0 * norm2
-        while True:
-            cand = _retract(iso + step * direction)
-            cand_value, cand_g = value_grad(cand)
-            if cand_value <= value + _ARMIJO * step * slope:
-                break
-            # the minimizer of the quadratic through value, slope and
-            # cand_value (curv > 0 once the Armijo test fails), kept within
-            # [step / 10, step / 2]
-            curv = cand_value - value - slope * step
-            step = max(0.1 * step, min(0.5 * step, -0.5 * slope * step * step / curv))
-            if step < _STEP_FLOOR:
-                return iso, value
+    # per moving lane: output slot, value, step, steps taken, evaluations,
+    # squared gradient norm and slope; a fresh lane is at the start of a step
+    slot = list(range(len(iso)))
+    value = value.tolist()
+    step = [1.0] * len(slot)
+    taken = [0] * len(slot)
+    evals = [1] * len(slot)
+    norm2 = [0.0] * len(slot)
+    slope = [0.0] * len(slot)
+    fresh = [True] * len(slot)
+    stop = [False] * len(slot)
+    while True:
+        if any(fresh):
+            n2, sl = _lane_dots(xi, xi), _lane_dots(xi, direction)
+            for j in range(len(slot)):
+                if not fresh[j]:
+                    continue
+                if taken[j] >= steps or n2[j] < _GRAD_FLOOR or value[j] - floor <= _FLOOR_GAP:
+                    stop[j] = True
+                    continue
+                norm2[j] = n2[j]
+                slope[j] = 2.0 * sl[j]                      # d value / d step
+                if slope[j] >= 0.0:
+                    direction[j] = -xi[j]
+                    slope[j] = -2.0 * norm2[j]
+        if any(stop):
+            for j in range(len(slot)):
+                if stop[j]:
+                    out_iso[slot[j]] = iso[j]
+                    out_value[slot[j]] = value[j]
+                    out_evals[slot[j]] = evals[j]
+            keep = [j for j in range(len(slot)) if not stop[j]]
+            if not keep:
+                return out_iso, out_value, out_evals
+            iso, xi, direction = iso[keep], xi[keep], direction[keep]
+            slot, value, step, taken, evals, norm2, slope = (
+                [col[j] for j in keep]
+                for col in (slot, value, step, taken, evals, norm2, slope))
+            stop = [False] * len(slot)
+        cand = _retract(iso + np.array(step)[:, None, None] * direction)
+        cand_value, cand_g = value_grad(cand)
+        cand_value = cand_value.tolist()
+        fresh = []
+        for j in range(len(slot)):
+            evals[j] += 1
+            fresh.append(cand_value[j] <= value[j] + _ARMIJO * step[j] * slope[j])
+            if not fresh[j]:
+                # the minimizer of the quadratic through value, slope and
+                # cand_value (curv > 0 once the Armijo test fails), kept
+                # within [step / 10, step / 2]
+                curv = cand_value[j] - value[j] - slope[j] * step[j]
+                step[j] = max(0.1 * step[j],
+                              min(0.5 * step[j], -0.5 * slope[j] * step[j] * step[j] / curv))
+                stop[j] = step[j] < _STEP_FLOOR
+        moved = [j for j in range(len(slot)) if fresh[j]]
+        if not moved:
+            continue
+        every = len(moved) == len(slot)
+        sub = slice(None) if every else moved       # a slice takes views, not copies
+        cand, cand_g = cand[sub], cand_g[sub]
         cand_xi = _tangent(cand, cand_g)
-        beta = max(0.0, np.vdot(cand_xi, cand_xi - _tangent(cand, xi)).real / norm2)
-        direction = beta * _tangent(cand, direction) - cand_xi
-        iso, value, xi = cand, cand_value, cand_xi
-        step *= 2.0
-    return iso, value
+        num = _lane_dots(cand_xi, cand_xi - _tangent(cand, xi[sub]))
+        beta = [max(0.0, b / norm2[j]) for b, j in zip(num, moved)]
+        cand_dir = np.array(beta)[:, None, None] * _tangent(cand, direction[sub]) - cand_xi
+        if every:
+            iso, xi, direction = cand, cand_xi, cand_dir
+        else:
+            iso[sub], xi[sub], direction[sub] = cand, cand_xi, cand_dir
+        for j in moved:
+            value[j] = cand_value[j]
+            step[j] *= 2.0
+            taken[j] += 1
 
 
 def _ef_floor(t: TensorDM, tol: Tolerances) -> float:
@@ -577,6 +651,13 @@ def ef_optimize(t: TensorDM, opts: EfOptions | None = None,
         return _finish(float(contribs.sum()), w, True, 0, 0)
 
     floor = _ef_floor(t, tol)
+
+    def value_grad(lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # one lane: the kernel takes its 2-D slice, where numpy's per-call
+        # overhead on these small arrays is lower
+        value, g = _ensemble_value_grad(lanes[0], x, d)
+        return value[None], g[None]
+
     best = None
     for restart in range(opts.restarts):
         if restart == 0:
@@ -585,8 +666,7 @@ def ef_optimize(t: TensorDM, opts: EfOptions | None = None,
             iso[:r, :r] = np.eye(r)
         else:
             iso, _ = np.linalg.qr(complex_normal(seeded_rng(opts.seed, restart), L, r))
-        iso, _ = _descend(iso, lambda u: _ensemble_value_grad(u, x, d), floor,
-                          _DESCENT_STEPS)
+        iso = _descend(iso[None], value_grad, floor, _DESCENT_STEPS)[0][0]
         w = iso @ x
         contribs = _member_contribs(w, d, d)
         total = float(contribs.sum())
@@ -803,23 +883,26 @@ class MinS2Result:
     evaluations: int
 
 
-def _s2_value_grad(iso: np.ndarray, M: int, N: int) -> tuple[float, np.ndarray]:
+def _s2_value_grad(iso: np.ndarray, M: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     """S(gamma_2) of the unit amplitude column iso (G = gather(iso) / sqrt(C(N,2))
-    through the Gram-entropy kernel) and its gradient in conj(iso), scattered back."""
+    through the Gram-entropy kernel) and its gradient in conj(iso), scattered
+    back; a stack (..., dim, 1) of columns gives one value and gradient each."""
     scale = math.sqrt(math.comb(N, 2))
-    value, g = _gram_entropy_grad(gather_amplitudes(iso[:, 0], M, N, 2)[None] / scale)
-    return value, scatter_amplitudes(g[0], M, N, 2)[:, None] / scale
+    value, g = _gram_entropy_grad(gather_amplitudes(iso[..., 0], M, N, 2)[..., None, :, :]
+                                  / scale)
+    return value, scatter_amplitudes(g[..., 0, :, :], M, N, 2)[..., None] / scale
 
 
 def min_s2_search(M: int, N: int, opts: MinS2Options | None = None,
                   tol: Tolerances = TOL) -> MinS2Result:
     """Gradient search for low 2-RDM entropy among pure (M, N) states.
 
-    Each restart runs the E_f descent (`_descend`) from a random unit vector,
-    an isometry with one column, for at most opts.iters steps with floor 0
-    (S(gamma_2) >= 0: pure N = 2 states stop at once); evaluations count
-    value-and-gradient calls. Records the best value found next to the
-    single-determinant reference ln C(N,2); it never asserts that the reference is minimal.
+    Every restart starts from its own random unit vector, an isometry with one
+    column, and all restarts run as the lanes of one E_f descent (`_descend`)
+    for at most opts.iters steps with floor 0 (S(gamma_2) >= 0: pure N = 2
+    states stop at once); evaluations count value-and-gradient evaluations of
+    single lanes. Records the best value found next to the single-determinant
+    reference ln C(N,2); it never asserts that the reference is minimal.
     """
     opts = opts or MinS2Options()
     if opts.restarts < 1:
@@ -830,21 +913,15 @@ def min_s2_search(M: int, N: int, opts: MinS2Options | None = None,
         raise RangeError("2-RDM search needs N >= 2")
     basis = RankedBasis(M, N)
     reference = vn_entropy(reduce_pure(slater_state(basis, range(N)), 2), tol)
-    evals = 0
-
-    def value_grad(iso: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal evals
-        evals += 1
-        return _s2_value_grad(iso, M, N)
-
-    runs = []
+    starts = []
     for restart in range(opts.restarts):
         amps = complex_normal(seeded_rng(opts.seed, restart), basis.dim)
-        runs.append(_descend((amps / np.linalg.norm(amps))[:, None], value_grad,
-                             0.0, opts.iters))
-    best_state = PureStateN(basis, min(runs, key=lambda run: run[1])[0][:, 0])
+        starts.append(amps / np.linalg.norm(amps))
+    isos, values, evals = _descend(np.stack(starts)[..., None],
+                                   lambda iso: _s2_value_grad(iso, M, N), 0.0, opts.iters)
+    best_state = PureStateN(basis, isos[int(np.argmin(values)), :, 0])
     # report the winner through the deterministic eigensolver path
     best_reported = vn_entropy(reduce_pure(best_state, 2), tol)
     return MinS2Result(best_entropy=best_reported, best_state=best_state,
                        slater_reference=reference,
-                       gap=best_reported - reference, evaluations=evals)
+                       gap=best_reported - reference, evaluations=int(evals.sum()))

@@ -137,17 +137,25 @@ def reduce_amplitudes(amps: np.ndarray, M: int, N: int, k: int) -> np.ndarray:
 
 
 def gather_amplitudes(amps: np.ndarray, M: int, N: int, k: int) -> np.ndarray:
-    """G = sgn * amps[idx]; a unit vector amps has k-RDM G G^+ / C(N, k)."""
+    """G = sgn * amps[..., idx]; a unit vector amps has k-RDM G G^+ / C(N, k).
+    Leading axes of amps are kept: a stack of vectors gives a stack of G."""
     idx, sgn = _gather_table(M, N, k)
-    return sgn * amps[idx]
+    return sgn * amps[..., idx]
 
 
 def scatter_amplitudes(G: np.ndarray, M: int, N: int, k: int) -> np.ndarray:
-    """Adjoint of gather_amplitudes: out[n] sums sgn * G where idx = n."""
+    """Adjoint of gather_amplitudes: out[..., n] sums sgn * G where idx = n.
+
+    A stack of G is scattered by one bincount, each slice's indices offset by
+    its own dim-long block, so every slice sums in the order a lone G would."""
     idx, sgn = _gather_table(M, N, k)
     nz = sgn != 0
-    vals, dim = sgn[nz] * G[nz], binom(M, N)
-    return np.bincount(idx[nz], vals.real, dim) + 1j * np.bincount(idx[nz], vals.imag, dim)
+    lead, dim = G.shape[:-2], binom(M, N)
+    size = dim * math.prod(lead)
+    at = (idx[nz] + np.arange(0, size, dim)[:, None]).ravel()
+    vals = (sgn[nz] * G[..., nz]).ravel()
+    out = np.bincount(at, vals.real, size) + 1j * np.bincount(at, vals.imag, size)
+    return out.reshape(*lead, dim)
 
 
 def reduce_pure(state: PureStateN, k: int) -> ReducedDM:

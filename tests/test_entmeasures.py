@@ -592,6 +592,38 @@ def test_best_pair_rotation_reevaluates_below_coarse_grid():
         assert val <= coarse
 
 
+def test_best_pair_rotation_is_the_argmin_of_the_full_grid():
+    # theta = 0 is scored once, as (0, 0), first; argmin over the full
+    # _ANGLES x _PHASES grid must still give the same (theta, phi, value)
+    from fermient.entmeasures import (_ANGLES, _PHASES, _best_pair_rotation,
+                                      _pair_objective)
+    tt, pp = np.meshgrid(_ANGLES, _PHASES, indexing="ij")
+    tt, pp = tt.ravel(), pp.ravel()
+    rng = np.random.default_rng(21)
+    pairs = []
+    for d in range(2, 7):
+        for _ in range(20):
+            z = statekit.complex_normal(rng, 2, d * d)
+            pairs.append((d, *(z / np.linalg.norm(z))))
+            u, v, x = statekit.complex_normal(rng, 3, d)
+            wk, wl = np.outer(u, v) - np.outer(v, u), np.outer(u, x) - np.outer(x, u)
+            scale = 2 * max(np.linalg.norm(wk), np.linalg.norm(wl))
+            pairs.append((d, wk.ravel() / scale, wl.ravel() / scale))
+        # planted: two product rows on orthogonal factors; any rotation
+        # entangles them, so theta = 0 wins
+        a, b = np.linalg.qr(statekit.complex_normal(rng, d, 2))[0].T
+        c, e = np.linalg.qr(statekit.complex_normal(rng, d, 2))[0].T
+        pairs.append((d, 0.6 * np.outer(a, c).ravel(), 0.8 * np.outer(b, e).ravel()))
+    planted = 0
+    for d, wk, wl in pairs:
+        full = _pair_objective(wk, wl, tt, pp, d, d)
+        i = int(np.argmin(full))
+        want = (float(tt[i]), float(pp[i]), float(full[i]))
+        assert _best_pair_rotation(wk, wl, d, d) == want, d
+        planted += want[:2] == (0.0, 0.0)
+    assert planted >= 5
+
+
 # ---------------------------------------------------------------------------
 # squashed-entanglement extensions
 
@@ -730,6 +762,57 @@ def test_min_s2_gradient_matches_central_differences(M, N, seed):
                - entmeasures._s2_value_grad(psi - h * step, M, N)[0]) / (2 * h)
     analytic = 2.0 * np.vdot(grad, step).real      # d value / d t along psi + t step
     assert analytic == pytest.approx(central, rel=1e-6)
+
+
+def _lane_cases():
+    """(value_grad, stack of start isometries) for the min-S2 and E_f kernels."""
+    rng = statekit.seeded_rng(7)
+    M, N = 6, 3
+    cols = statekit.complex_normal(rng, 5, math.comb(M, N))
+    cols /= np.linalg.norm(cols, axis=1, keepdims=True)
+    # lane 2 starts at a determinant: the floor below is its value
+    cols[2] = slater_state(RankedBasis(M, N), (0, 2, 5)).amplitudes
+    yield (lambda iso: entmeasures._s2_value_grad(iso, M, N)), cols[..., None]
+    t = random_two_party_dm(3, 3, seed=4)
+    mu, phi = hermlin.support(eig_herm(t.dense(), vectors=True))
+    x = np.sqrt(mu)[:, None] * phi.T
+    isos = np.stack([np.linalg.qr(statekit.complex_normal(rng, 9, 3))[0]
+                     for _ in range(4)])
+    yield (lambda iso: entmeasures._ensemble_value_grad(iso, x, 3)), isos
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_descend_lanes_match_one_lane_runs(case):
+    # lane b of a stacked descent does exactly what a one-lane run does:
+    # same isometry bytes, value and evaluation count, also for a lane that
+    # stops at once at its floor and for steps = 0
+    value_grad, isos = list(_lane_cases())[case]
+    starts = value_grad(isos)[0]
+    floor = float(starts.min())
+    sizes = []
+
+    def spy(stack):
+        sizes.append(len(stack))
+        return value_grad(stack)
+
+    for steps in (0, 3, 60):
+        sizes.clear()
+        got_iso, got_value, got_evals = entmeasures._descend(isos, spy, floor, steps)
+        assert isos.shape == got_iso.shape
+        for b in range(len(isos)):
+            one_iso, one_value, one_evals = entmeasures._descend(isos[b:b + 1], value_grad,
+                                                                 floor, steps)
+            assert got_iso[b].tobytes() == one_iso[0].tobytes(), (steps, b)
+            assert got_value[b] == one_value[0], (steps, b)
+            assert got_evals[b] == one_evals[0], (steps, b)
+        assert got_evals[int(np.argmin(starts))] == 1
+        assert sum(sizes) == got_evals.sum()
+        if steps == 0:
+            assert got_iso.tobytes() == isos.tobytes()
+            assert list(got_value) == list(starts) and set(got_evals) == {1}
+        else:
+            # lanes stop at different times; the stack shrinks as they do
+            assert len(set(got_evals)) > 1 and min(sizes) < len(isos)
 
 
 @pytest.mark.parametrize("M, N", [(7, 3), (8, 4)])

@@ -188,3 +188,18 @@ def test_only_suites_builds_kronecker_products():
     sites = [f"{name}:{node.lineno}" for name, tree in _trees().items()
              for node in calls(tree)]
     assert sites and all(site.startswith("suites.py:") for site in sites), sites
+
+
+def test_one_descent_loop_retracts():
+    # _descend runs every restart's lanes in lockstep; a second conjugate
+    # gradient loop would need its own retraction. The one other QR is
+    # ef_optimize's Haar draw of a restart's start, which takes Q as it comes.
+    def sites(callee):
+        return sorted(f"{name}:{fn.name}" for name, tree in _trees().items()
+                      for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                      for node in ast.walk(fn) if isinstance(node, ast.Call)
+                      and callee in (getattr(node.func, "attr", None),
+                                     getattr(node.func, "id", None)))
+
+    assert sites("_retract") == ["entmeasures.py:_descend"]
+    assert sites("qr") == ["entmeasures.py:_retract", "entmeasures.py:ef_optimize"]
