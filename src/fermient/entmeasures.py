@@ -491,12 +491,12 @@ def _retract(m: np.ndarray) -> np.ndarray:
     return q
 
 
-def _lane_dots(a: np.ndarray, b: np.ndarray) -> list:
-    """Re <a_j, b_j> for each lane j of two (B, L, r) stacks, by np.vdot; a
-    single lane takes the whole stack, with no view per lane."""
-    if len(a) == 1:
+def _lane_dots(a: np.ndarray, b: np.ndarray, lanes) -> list:
+    """Re <a_j, b_j> for the lanes j of two (B, L, r) stacks, by np.vdot; a
+    stack of one lane is taken whole, with no view."""
+    if len(a) == len(lanes) == 1:
         return [np.vdot(a, b).real]
-    return [np.vdot(x, y).real for x, y in zip(a, b)]
+    return [np.vdot(a[j], b[j]).real for j in lanes]
 
 
 def _descend(iso: np.ndarray, value_grad, floor: float,
@@ -507,96 +507,83 @@ def _descend(iso: np.ndarray, value_grad, floor: float,
 
     value_grad(stack) -> (values, gradients in conj(stack)) is called on the
     lanes still moving, one candidate each. Returns the final isometries,
-    their values and each lane's evaluation count.
+    their values and each lane's evaluation count; the caller's stack is left
+    as it was.
 
     Each lane keeps its own step, direction, step count and stop tests (a
     squared gradient norm below _GRAD_FLOOR, a value within _FLOOR_GAP of
     floor, a step below _STEP_FLOOR, `steps` steps taken), and every array
     operation acts on each lane's slice alone, so a lane's arithmetic is bit
-    for bit that of a one-lane run from the same start. The previous
-    direction is carried over by projecting it at the new point, and replaced
-    by the steepest descent direction when it does not descend. The step
-    shrinks (at least halving) until the Armijo condition holds and doubles
-    after each accepted step.
+    for bit that of a one-lane run from the same start. A lane keeps its
+    index in the stack from start to end: a stopped lane is skipped, and a
+    moving lane's isometry, gradient and direction are written in place (or
+    the stacks replaced, when every lane moved). The previous direction is
+    carried over by projecting it at the new point, and replaced by the
+    steepest descent direction when it does not descend. The step shrinks (at
+    least halving) until the Armijo condition holds and doubles after each
+    accepted step.
     """
-    out_iso, out_value = np.empty_like(iso), np.zeros(len(iso))
-    out_evals = np.zeros(len(iso), dtype=int)
-    iso = iso.copy()                    # lanes may be updated in place below
+    iso = iso.copy()                    # lanes are updated in place below
     value, g = value_grad(iso)
     xi = _tangent(iso, g)
     direction = -xi
-    # per moving lane: output slot, value, step, steps taken, evaluations,
-    # squared gradient norm and slope; a fresh lane is at the start of a step
-    slot = list(range(len(iso)))
+    # per lane: value, step, steps taken, evaluations, squared gradient norm,
+    # slope and whether it stopped
+    n = len(iso)
     value = value.tolist()
-    step = [1.0] * len(slot)
-    taken = [0] * len(slot)
-    evals = [1] * len(slot)
-    norm2 = [0.0] * len(slot)
-    slope = [0.0] * len(slot)
-    fresh = [True] * len(slot)
-    stop = [False] * len(slot)
+    step = [1.0] * n
+    taken = [0] * n
+    evals = [1] * n
+    norm2 = [0.0] * n
+    slope = [0.0] * n
+    done = [False] * n
+    act = fresh = list(range(n))        # lanes still moving; lanes at a step start
     while True:
-        if any(fresh):
-            n2, sl = _lane_dots(xi, xi), _lane_dots(xi, direction)
-            for j in range(len(slot)):
-                if not fresh[j]:
-                    continue
-                if taken[j] >= steps or n2[j] < _GRAD_FLOOR or value[j] - floor <= _FLOOR_GAP:
-                    stop[j] = True
-                    continue
-                norm2[j] = n2[j]
-                slope[j] = 2.0 * sl[j]                      # d value / d step
-                if slope[j] >= 0.0:
-                    direction[j] = -xi[j]
-                    slope[j] = -2.0 * norm2[j]
-        if any(stop):
-            for j in range(len(slot)):
-                if stop[j]:
-                    out_iso[slot[j]] = iso[j]
-                    out_value[slot[j]] = value[j]
-                    out_evals[slot[j]] = evals[j]
-            keep = [j for j in range(len(slot)) if not stop[j]]
-            if not keep:
-                return out_iso, out_value, out_evals
-            iso, xi, direction = iso[keep], xi[keep], direction[keep]
-            slot, value, step, taken, evals, norm2, slope = (
-                [col[j] for j in keep]
-                for col in (slot, value, step, taken, evals, norm2, slope))
-            stop = [False] * len(slot)
-        cand = _retract(iso + np.array(step)[:, None, None] * direction)
+        n2, sl = _lane_dots(xi, xi, fresh), _lane_dots(xi, direction, fresh)
+        for j, a, b in zip(fresh, n2, sl):
+            done[j] = taken[j] >= steps or a < _GRAD_FLOOR or value[j] - floor <= _FLOOR_GAP
+            norm2[j] = a
+            slope[j] = 2.0 * b                              # d value / d step
+            if slope[j] >= 0.0:
+                direction[j] = -xi[j]
+                slope[j] = -2.0 * a
+        act = [j for j in act if not done[j]]
+        if not act:
+            return iso, np.array(value), np.array(evals)
+        sub = slice(None) if len(act) == n else act     # a slice takes views, not copies
+        cand = _retract(iso[sub] + np.array(step)[sub, None, None] * direction[sub])
         cand_value, cand_g = value_grad(cand)
         cand_value = cand_value.tolist()
-        fresh = []
-        for j in range(len(slot)):
+        moved = []                                      # positions in act
+        for i, j in enumerate(act):
             evals[j] += 1
-            fresh.append(cand_value[j] <= value[j] + _ARMIJO * step[j] * slope[j])
-            if not fresh[j]:
-                # the minimizer of the quadratic through value, slope and
-                # cand_value (curv > 0 once the Armijo test fails), kept
-                # within [step / 10, step / 2]
-                curv = cand_value[j] - value[j] - slope[j] * step[j]
-                step[j] = max(0.1 * step[j],
-                              min(0.5 * step[j], -0.5 * slope[j] * step[j] * step[j] / curv))
-                stop[j] = step[j] < _STEP_FLOOR
-        moved = [j for j in range(len(slot)) if fresh[j]]
-        if not moved:
+            if cand_value[i] <= value[j] + _ARMIJO * step[j] * slope[j]:
+                moved.append(i)
+                value[j] = cand_value[i]
+                step[j] *= 2.0
+                taken[j] += 1
+                continue
+            # the minimizer of the quadratic through value, slope and
+            # cand_value (curv > 0 once the Armijo test fails), kept within
+            # [step / 10, step / 2]
+            curv = cand_value[i] - value[j] - slope[j] * step[j]
+            step[j] = max(0.1 * step[j],
+                          min(0.5 * step[j], -0.5 * slope[j] * step[j] * step[j] / curv))
+            done[j] = step[j] < _STEP_FLOOR
+        fresh = [act[i] for i in moved]
+        if not fresh:
             continue
-        every = len(moved) == len(slot)
-        sub = slice(None) if every else moved       # a slice takes views, not copies
-        cand, cand_g = cand[sub], cand_g[sub]
+        if len(moved) < len(act):
+            cand, cand_g = cand[moved], cand_g[moved]
+        sub = slice(None) if len(fresh) == n else fresh
         cand_xi = _tangent(cand, cand_g)
-        num = _lane_dots(cand_xi, cand_xi - _tangent(cand, xi[sub]))
-        beta = [max(0.0, b / norm2[j]) for b, j in zip(num, moved)]
+        num = _lane_dots(cand_xi, cand_xi - _tangent(cand, xi[sub]), range(len(fresh)))
+        beta = [max(0.0, b / norm2[j]) for b, j in zip(num, fresh)]
         cand_dir = np.array(beta)[:, None, None] * _tangent(cand, direction[sub]) - cand_xi
-        if every:
+        if len(fresh) == n:
             iso, xi, direction = cand, cand_xi, cand_dir
         else:
             iso[sub], xi[sub], direction[sub] = cand, cand_xi, cand_dir
-        for j in moved:
-            value[j] = cand_value[j]
-            step[j] *= 2.0
-            taken[j] += 1
 
 
 def _ef_floor(t: TensorDM, tol: Tolerances) -> float:
@@ -883,6 +870,12 @@ class MinS2Result:
     evaluations: int
 
 
+# min_s2_search descends its restarts in groups whose gathered G, C(M, 2) x
+# C(M, N - 2) complex entries a lane, fits in _S2_GROUP_BYTES; lanes are
+# independent, so the grouping bounds the memory and changes no result.
+_S2_GROUP_BYTES = 1 << 22
+
+
 def _s2_value_grad(iso: np.ndarray, M: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     """S(gamma_2) of the unit amplitude column iso (G = gather(iso) / sqrt(C(N,2))
     through the Gram-entropy kernel) and its gradient in conj(iso), scattered
@@ -898,11 +891,12 @@ def min_s2_search(M: int, N: int, opts: MinS2Options | None = None,
     """Gradient search for low 2-RDM entropy among pure (M, N) states.
 
     Every restart starts from its own random unit vector, an isometry with one
-    column, and all restarts run as the lanes of one E_f descent (`_descend`)
-    for at most opts.iters steps with floor 0 (S(gamma_2) >= 0: pure N = 2
-    states stop at once); evaluations count value-and-gradient evaluations of
-    single lanes. Records the best value found next to the single-determinant
-    reference ln C(N,2); it never asserts that the reference is minimal.
+    column, and the restarts run as the lanes of the E_f descent (`_descend`),
+    in groups whose gathered G fits in _S2_GROUP_BYTES, for at most opts.iters
+    steps with floor 0 (S(gamma_2) >= 0: pure N = 2 states stop at once);
+    evaluations count value-and-gradient evaluations of single lanes. Records
+    the best value found next to the single-determinant reference ln C(N,2);
+    it never asserts that the reference is minimal.
     """
     opts = opts or MinS2Options()
     if opts.restarts < 1:
@@ -917,8 +911,11 @@ def min_s2_search(M: int, N: int, opts: MinS2Options | None = None,
     for restart in range(opts.restarts):
         amps = complex_normal(seeded_rng(opts.seed, restart), basis.dim)
         starts.append(amps / np.linalg.norm(amps))
-    isos, values, evals = _descend(np.stack(starts)[..., None],
-                                   lambda iso: _s2_value_grad(iso, M, N), 0.0, opts.iters)
+    group = max(1, _S2_GROUP_BYTES // (16 * math.comb(M, 2) * math.comb(M, N - 2)))
+    runs = [_descend(np.stack(starts[at:at + group])[..., None],
+                     lambda iso: _s2_value_grad(iso, M, N), 0.0, opts.iters)
+            for at in range(0, opts.restarts, group)]
+    isos, values, evals = (np.concatenate(col) for col in zip(*runs))
     best_state = PureStateN(basis, isos[int(np.argmin(values)), :, 0])
     # report the winner through the deterministic eigensolver path
     best_reported = vn_entropy(reduce_pure(best_state, 2), tol)

@@ -815,6 +815,59 @@ def test_descend_lanes_match_one_lane_runs(case):
             assert len(set(got_evals)) > 1 and min(sizes) < len(isos)
 
 
+@pytest.mark.parametrize("case", [0, 1])
+def test_descend_leaves_the_callers_stack_as_it_was(case):
+    # lanes are written in place, in the descent's own copy: with the floor at
+    # the lowest start one lane stops at once, so no later round moves every
+    # lane and each move is such a write
+    value_grad, isos = list(_lane_cases())[case]
+    before = isos.tobytes()
+    got_iso = entmeasures._descend(isos, value_grad, float(value_grad(isos)[0].min()), 60)[0]
+    assert isos.tobytes() == before
+    assert got_iso.tobytes() != before
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_descend_keeps_every_lane_whose_candidates_are_nan(case):
+    # a NaN candidate fails the Armijo test and the step rule still halves the
+    # step, so each lane stops at its start once the step falls below
+    # _STEP_FLOOR: 2**-34 is the first halving below 1e-10, 35 evaluations
+    value_grad, isos = list(_lane_cases())[case]
+    if case == 0:
+        isos = np.delete(isos, 2, axis=0)   # a determinant: its gradient is 0
+    starts = value_grad(isos)[0]
+    sizes = []
+
+    def nan_candidates(stack):
+        sizes.append(len(stack))
+        if sum(sizes) > 10_000:
+            raise AssertionError("the step never falls below _STEP_FLOOR")
+        value, g = value_grad(stack)
+        if len(sizes) == 1:
+            return value, g
+        return np.full_like(value, np.nan), np.full_like(g, np.nan)
+
+    got_iso, got_value, got_evals = entmeasures._descend(isos, nan_candidates, -math.inf, 60)
+    assert got_iso.tobytes() == isos.tobytes()
+    assert got_value.tobytes() == starts.tobytes()
+    assert list(got_evals) == [35] * len(isos)
+
+
+def test_min_s2_search_memory_stays_within_its_group_budget():
+    # restarts descend in groups whose gathered G fits _S2_GROUP_BYTES; at
+    # (12, 6) a lane's G holds 66 x 495 complex entries (523 kB), so fifty
+    # restarts in one stack would hold 26 MB of G alone
+    min_s2_search(12, 6, MinS2Options(restarts=1, iters=0))    # builds the gather table
+    tracemalloc.start()
+    try:
+        res = min_s2_search(12, 6, MinS2Options(restarts=50, iters=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.evaluations == 50
+    assert peak <= 25e6
+
+
 @pytest.mark.parametrize("M, N", [(7, 3), (8, 4)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_min_s2_search_reaches_the_determinant_at_larger_shapes(M, N, seed):
