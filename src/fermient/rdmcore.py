@@ -81,7 +81,8 @@ class TensorDM:
 
 
 # K-columns per block: bounds the table build's temporaries and the size of
-# each gathered block of G, which peak memory (not speed) is sensitive to
+# each gathered block of G (and of ptrace_rdm's slabs, which also split their
+# rows), which peak memory (not speed) is sensitive to
 _BLOCK = 256
 
 
@@ -178,7 +179,8 @@ def ptrace_rdm(r: ReducedDM, k_out: int) -> ReducedDM:
     """Trace a unit-trace k-RDM down to k_out < k particles.
 
     out[A, B] = sum_X sgn[A, X] sgn[B, X] R[idx[A, X], idx[B, X]] / C(k, k_out)
-    over the (M, k, k_out) gather table.
+    over the (M, k, k_out) gather table, gathered a few rows A at a time so
+    that no slab outgrows R.
     """
     if r.normalization != UNIT:
         raise NormalizationError("ptrace_rdm expects a unit-trace RDM")
@@ -186,11 +188,15 @@ def ptrace_rdm(r: ReducedDM, k_out: int) -> ReducedDM:
         raise RangeError(f"need 1 <= k_out < k={r.k}, got {k_out}")
     M = r.basis.n_modes
     idx, sgn = _gather_table(M, r.k, k_out)
-    out = np.zeros((idx.shape[0], idx.shape[0]), dtype=complex)
-    for c0 in range(0, idx.shape[1], _BLOCK):
-        i = idx[:, c0:c0 + _BLOCK]
-        s = sgn[:, c0:c0 + _BLOCK]
-        out += np.einsum("ax,bx,abx->ab", s, s, r.matrix[i[:, None], i[None, :]])
+    rows, cols = idx.shape
+    # out's rows are gathered `part` at a time, so that no (part, rows, _BLOCK)
+    # slab holds more entries than R; each entry sums the same column blocks
+    part = max(1, r.matrix.size // (rows * min(cols, _BLOCK)))
+    out = np.zeros((rows, rows), dtype=complex)
+    for a0, c0 in itertools.product(range(0, rows, part), range(0, cols, _BLOCK)):
+        a, x = slice(a0, a0 + part), slice(c0, c0 + _BLOCK)
+        out[a] += np.einsum("ax,bx,abx->ab", sgn[a, x], sgn[:, x],
+                            r.matrix[idx[a, x][:, None], idx[:, x][None, :]])
     out /= binom(r.k, k_out)
     return ReducedDM(k=k_out, basis=RankedBasis(M, k_out), matrix=out,
                      normalization=UNIT, n_particles=r.n_particles)
@@ -340,14 +346,14 @@ def brute_force_reduce(state: PureStateN, k: int) -> ReducedDM:
 def dumps_rdm(r: ReducedDM) -> str:
     """`fermirdm M k normtag` header, then one matrix row per line as re im pairs."""
     row_fmt = " ".join([FMT17] * (2 * r.matrix.shape[1]))
-    rows = [row_fmt % tuple(np.column_stack((row.real, row.imag)).ravel().tolist())
-            for row in r.matrix]
+    rows = [row_fmt % tuple(row.tolist())
+            for row in np.ascontiguousarray(r.matrix).view(float)]
     return "\n".join([f"fermirdm {r.basis.n_modes} {r.k} {r.normalization}"] + rows) + "\n"
 
 
 def loads_rdm(text: str) -> ReducedDM:
-    rows = list(records(text, "fermirdm"))
-    header = rows[0]
+    recs = records(text, "fermirdm")
+    header = next(recs)
     try:
         _, m_s, k_s, tag = header
         M, k = int(m_s), int(k_s)
@@ -357,11 +363,10 @@ def loads_rdm(text: str) -> ReducedDM:
         raise NormalizationError(f"unknown normalization tag {tag!r}")
     basis = RankedBasis(M, k)
     D = basis.dim
-    # count the rows before allocating, so a header alone cannot ask for D x D
-    if len(rows) - 1 != D:
-        raise ShapeError(f"expected {D} matrix rows, found {len(rows) - 1}")
-    mat = np.zeros((D, D), dtype=complex)
-    for i, fields in enumerate(rows[1:]):
+    # only parsed rows are kept, each checked to hold D entries, and they are
+    # stacked after the count, so a header alone cannot ask for D x D
+    rows = []
+    for i, fields in enumerate(recs):
         try:
             vals = [float(x) for x in fields]
         except ValueError as exc:
@@ -370,7 +375,10 @@ def loads_rdm(text: str) -> ReducedDM:
             raise ShapeError(f"row {i} has {len(vals)} numbers, expected {2 * D}")
         if not all(map(math.isfinite, vals)):
             raise ShapeError(f"row {i} has a non-finite entry: {' '.join(fields)!r}")
-        mat[i] = np.asarray(vals[0::2]) + 1j * np.asarray(vals[1::2])
+        rows.append(np.asarray(vals).view(complex))     # keeps the sign of a zero
+    if len(rows) != D:
+        raise ShapeError(f"expected {D} matrix rows, found {len(rows)}")
+    mat = np.stack(rows)
     n_particles = None
     if tag == PHYSICS:
         # physics trace is C(N, k) with k <= N <= M; recover N by exact search

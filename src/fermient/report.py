@@ -113,10 +113,25 @@ def write_text(path, text: str) -> None:
         fh.write(text)
 
 
+# records splits the text into lines a block of about this many characters
+# at a time, so a large file's lines never all exist at once
+_BLOCK_CHARS = 1 << 16
+
+
+def _lines(text: str) -> Iterator[str]:
+    """text.splitlines(), lazily: each block ends at a newline, so no line
+    break, a CR LF pair included, is cut."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def records(text: str, magic: str | None = None) -> Iterator[list[str]]:
     """Lazily, the fields of each line that is neither blank nor a `#`
     comment; with `magic`, the first field must be exactly `magic`."""
-    recs = (f for f in map(str.split, text.splitlines()) if f and not f[0].startswith("#"))
+    recs = (f for f in map(str.split, _lines(text)) if f and not f[0].startswith("#"))
     if magic is None:
         return recs
     head = next(recs, None)

@@ -179,7 +179,7 @@ def loads_state(text: str) -> PureStateN:
     for fields in recs:
         try:
             idx_s, re_s, im_s = fields
-            idx, value = int(idx_s), float(re_s) + 1j * float(im_s)
+            idx, value = int(idx_s), complex(float(re_s), float(im_s))
         except ValueError as exc:
             raise ShapeError(f"malformed fermistate row: {' '.join(fields)!r}") from exc
         if not 0 <= idx < dim:

@@ -18,6 +18,7 @@ from fermient import (
     Spectrum,
     TensorDM,
     YangParams,
+    build_corpus,
     colex_masks,
     convex_mixture,
     ef_exact_m4,
@@ -851,6 +852,52 @@ def test_descend_keeps_every_lane_whose_candidates_are_nan(case):
     assert got_iso.tobytes() == isos.tobytes()
     assert got_value.tobytes() == starts.tobytes()
     assert list(got_evals) == [35] * len(isos)
+
+
+def test_ef_optimize_hands_the_descent_a_kernel_of_the_whole_stack(monkeypatch):
+    # E_f passes its kernel as min-S2 does: each lane of a (B, L, r) stack gets
+    # its own value and gradient, as a one-lane stack of it would
+    t = random_two_party_dm(3, 3, seed=4)
+    descend = entmeasures._descend
+    seen = []
+
+    def spy(iso, value_grad, floor, steps):
+        other = np.linalg.qr(statekit.complex_normal(statekit.seeded_rng(5), *iso.shape[1:]))[0]
+        two = np.concatenate([iso, other[None]])
+        value, g = value_grad(two)
+        seen.append((value.shape, g.shape, two.shape))
+        for b in range(2):
+            one_value, one_g = value_grad(two[b:b + 1])
+            assert value[b] == one_value[0] and g[b].tobytes() == one_g[0].tobytes()
+        return descend(iso, value_grad, floor, steps)
+
+    monkeypatch.setattr(entmeasures, "_descend", spy)
+    ef_optimize(t, EfOptions(restarts=2))
+    assert len(seen) == 2
+    assert all(value == (2,) and g == two for value, g, two in seen)
+
+
+def test_ensemble_kernel_on_one_lane_is_its_2d_call_with_a_lane_axis():
+    # the one-lane stack E_f's restarts descend gives, bit for bit, what the
+    # kernel gives the lane's 2-D isometry
+    checked = 0
+    for e in build_corpus(seed=1, n_random=8):
+        if e.basis.n_particles < 2:
+            continue
+        t = embed_wedge_to_tensor(e.rdm(2))
+        mu, phi = hermlin.support(eig_herm(t.dense(), vectors=True))
+        x = np.sqrt(mu)[:, None] * phi.T
+        r = mu.size
+        for L in (r, r * r):
+            start = np.eye(L, r, dtype=complex)
+            haar = np.linalg.qr(statekit.complex_normal(statekit.seeded_rng(L), L, r))[0]
+            for iso in (start, haar):
+                value, g = entmeasures._ensemble_value_grad(iso[None], x, t.local_dim)
+                flat_value, flat_g = entmeasures._ensemble_value_grad(iso, x, t.local_dim)
+                assert value.tobytes() == np.asarray(flat_value)[None].tobytes(), e.name
+                assert g.tobytes() == flat_g[None].tobytes(), e.name
+                checked += 1
+    assert checked >= 40
 
 
 def test_min_s2_search_memory_stays_within_its_group_budget():

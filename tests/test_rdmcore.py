@@ -19,10 +19,12 @@ from fermient import (
     brute_force_reduce,
     convex_mixture,
     dumps_rdm,
+    dumps_state,
     embed_state_full,
     embed_wedge_to_tensor,
     load_rdm,
     loads_rdm,
+    loads_state,
     modeset,
     pair_modes,
     project_antisymmetric,
@@ -250,6 +252,51 @@ def test_fermirdm_roundtrip(tmp_path):
     p = tmp_path / "r.fermirdm"
     save_rdm(r, p)
     np.testing.assert_allclose(load_rdm(p).matrix, r.matrix, atol=1e-15)
+
+
+def test_text_formats_keep_the_sign_of_a_zero_real_part():
+    # 17 digits round-trip every double, -0.0 included, and a real part of
+    # -0.0 beside a nonnegative imaginary part keeps its sign
+    amps = np.array([complex(-0.0, 0.6), complex(0.8, 0.0), 0.0, 0.0, 0.0, 0.0])
+    st = PureStateN(RankedBasis(4, 2), amps)
+    assert loads_state(dumps_state(st)).amplitudes.tobytes() == amps.tobytes()
+    mat = np.array([[0.5, complex(-0.0, 0.25)], [complex(-0.0, -0.25), 0.5]])
+    r = ReducedDM(k=1, basis=RankedBasis(2, 1), matrix=mat, normalization=UNIT)
+    back = loads_rdm(dumps_rdm(r))
+    assert back.matrix.tobytes() == mat.tobytes()
+    assert dumps_rdm(back) == dumps_rdm(r)
+
+
+def test_fermirdm_load_holds_about_the_matrix_it_reads():
+    # parsed rows are kept, not all of the text's lines or fields: a dense
+    # (10, 5) 3-RDM, 120 x 120, whose text is 2.9 times the matrix's bytes
+    r = reduce_pure(random_pure_state(RankedBasis(10, 5), seed=3), 3)
+    text = dumps_rdm(r)
+    loads_rdm(text)
+    tracemalloc.start()
+    try:
+        back = loads_rdm(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.matrix.tobytes() == r.matrix.tobytes()
+    assert peak <= 3 * r.matrix.nbytes
+
+
+def test_ptrace_rdm_gathers_no_slab_larger_than_its_input():
+    # (10, 5) 5 -> 4: 210 rows and 10 columns, so whole-row slabs would hold
+    # 210 x 210 x 10 entries, seven times the 252 x 252 input
+    r = reduce_pure(random_pure_state(RankedBasis(10, 5), seed=3), 5)
+    ptrace_rdm(r, 4)                    # builds the gather table
+    tracemalloc.start()
+    try:
+        out = ptrace_rdm(r, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    direct = reduce_pure(random_pure_state(RankedBasis(10, 5), seed=3), 4).matrix
+    np.testing.assert_allclose(out.matrix, direct, rtol=0, atol=1e-15)
+    assert peak <= 2 * r.matrix.nbytes
 
 
 def test_fermirdm_physics_recovers_particle_count():
