@@ -177,10 +177,10 @@ def cmd_state(args, tol: Tolerances) -> int:
         st = chi_pair_vector(args.m)
     else:
         st = random_pure_state(RankedBasis(args.M, args.N), seed=args.seed)
-    support = int(np.count_nonzero(st.amplitudes))
+    nonzero = int(np.count_nonzero(st.amplitudes))
     _emit_file(dumps_state(st),
                f"fermistate M={st.basis.n_modes} N={st.basis.n_particles} "
-               f"dim={st.basis.dim} support={support}", args, tol)
+               f"dim={st.basis.dim} support={nonzero}", args, tol)
     return 0
 
 

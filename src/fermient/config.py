@@ -5,8 +5,10 @@ reproduced from the single record embedded in CLI outputs. Fixed limits that
 no option changes live beside their code:
   * `suites`' ROUTE_MATCH, CLOSED_FORM_MATCH and EF_FLOOR_GRACE;
   * the descent constants of `entmeasures` (_DESCENT_STEPS, _ARMIJO,
-    _GRAD_FLOOR, _STEP_FLOOR, _FLOOR_GAP, _LOG_CLIP) and `min_s2_search`'s
-    byte budget for the gathered G of one group of restarts (_S2_GROUP_BYTES);
+    _GRAD_FLOOR, _STEP_FLOOR, _FLOOR_GAP, _LOG_CLIP; _FLOOR_GAP also decides
+    `ef_optimize`'s restart ties) and `min_s2_search`'s byte budget for the
+    gathered G of one group of restarts (_S2_GROUP_BYTES);
+  * `fockbasis.MAX_MODES` = 64, the width of the uint64 mode bitmasks;
   * `ef_optimize`'s 1e-15 margin for accepting a pair rotation and
     `_finish`'s 1e-14 floor on a member's weight;
   * `yang_analytics`' 1e-12 check that the closed-form spectrum sums to 1;
@@ -49,7 +51,6 @@ class Capacities:
     dense_eig: int = 4096            # max dimension of an unfactored input to the
                                      # subadditivity remainders; = tensor_dim, so
                                      # no buildable two-party matrix is refused
-    max_modes: int = 64              # bitmask width
     ef_rank: int = 64                # max support rank accepted by ef_optimize
 
 

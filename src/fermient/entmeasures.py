@@ -368,6 +368,11 @@ class EnsembleDecomposition:
 
 @dataclass
 class EfResult:
+    """The best restart's total, decomposition, convergence and sweep count.
+    `restart` is its index (0 starts from the eigen-ensemble, r >= 1 from a
+    draw of seeded_rng(seed, r)): a later restart takes the credit only by
+    ending more than _FLOOR_GAP lower, never by rounding."""
+
     value: float
     decomposition: EnsembleDecomposition
     converged: bool
@@ -391,6 +396,8 @@ _COARSE_T, _COARSE_P = np.array([(0.0, 0.0)] + [(t, p) for t in _ANGLES[1:]
 # _DESCENT_STEPS conjugate gradient steps per restart; Armijo backtracking with
 # constant _ARMIJO, ended early by a squared gradient norm below _GRAD_FLOOR, a
 # step below _STEP_FLOOR or a value within _FLOOR_GAP of the floor.
+# _FLOOR_GAP also ends ef_optimize's restarts at the floor and decides
+# restart ties: a later restart must end more than _FLOOR_GAP lower to win.
 # Eigenvalues are clipped at _LOG_CLIP before the log of a Gram.
 _DESCENT_STEPS = 100
 _ARMIJO = 1e-4
@@ -444,9 +451,8 @@ def _pair_objective(wk: np.ndarray, wl: np.ndarray, thetas: np.ndarray,
 def _best_pair_rotation(wk: np.ndarray, wl: np.ndarray, d1: int, d2: int,
                         _base: float | None = None):
     """Best (theta, phi, value) of the pair on the (theta, phi) grid, from one
-    batched scan. The descent before the sweeps does the fine work, so no
-    refinement follows; the optional fifth argument, the pair's current
-    value, is accepted and not read."""
+    batched scan. The optional fifth argument, the pair's current value, is
+    accepted and not read."""
     vals = _pair_objective(wk, wl, _COARSE_T, _COARSE_P, d1, d2)
     i0 = int(np.argmin(vals))
     return float(_COARSE_T[i0]), float(_COARSE_P[i0]), float(vals[i0])
@@ -596,9 +602,12 @@ def ef_optimize(t: TensorDM, opts: EfOptions | None = None,
 
     Each restart descends over the ensemble isometry (`_descend`), then
     polishes the members with at most opts.max_iters sweeps of two-row
-    rotations. Deterministic for fixed (input, opts.seed): restarts draw from
-    the streams seeded_rng(seed, restart) and the winner is the first restart
-    attaining the best value. A restart has converged once a sweep lowers
+    rotations; every input, rank 1 included, takes this one path.
+    Deterministic for fixed (input, opts.seed): restarts draw from the
+    streams seeded_rng(seed, restart), and a later restart replaces the
+    winner only when its total is lower by more than _FLOOR_GAP, so the
+    winner is the earliest restart within _FLOOR_GAP of the best (barring a
+    chain of smaller gains). A restart has converged once a sweep lowers
     the total by at most tol.ef_sweep_tol. Once a restart ends within
     _FLOOR_GAP of the proven minimum (`_ef_floor`) the rest are skipped.
     """
@@ -628,11 +637,6 @@ def ef_optimize(t: TensorDM, opts: EfOptions | None = None,
             f"ensemble size must be 'rank', 'square' or an int, got {size!r}")
     if L < r:
         raise ShapeError(f"ensemble size {L} below support rank {r}")
-
-    if r == 1:      # L < r was refused, so L == 1 implies r == 1
-        w = x[:1].copy()
-        contribs = _member_contribs(w, d, d)
-        return _finish(float(contribs.sum()), w, True, 0, 0)
 
     floor = _ef_floor(t, tol)
 
@@ -680,7 +684,7 @@ def ef_optimize(t: TensorDM, opts: EfOptions | None = None,
             if before - total <= tol.ef_sweep_tol:
                 converged = True
                 break
-        if best is None or total < best[0]:
+        if best is None or total < best[0] - _FLOOR_GAP:
             best = (total, w.copy(), converged, sweeps, restart)
         if total - floor <= _FLOOR_GAP:
             break

@@ -17,10 +17,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .config import CAP
 from .errors import InvalidModeSetError, NonDisjointError, RangeError
 
-MAX_MODES = CAP.max_modes
+# mode sets are uint64 bitmasks, so no other width works
+MAX_MODES = 64
 
 
 def binom(n: int, k: int) -> int:

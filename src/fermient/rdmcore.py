@@ -121,10 +121,15 @@ def reduce_amplitudes(amps: np.ndarray, M: int, N: int, k: int) -> np.ndarray:
     `amps` holds one amplitude vector over RankedBasis(M, N) per row, each
     already scaled by the square root of its mixture weight (a 1-D vector is
     a single pure state). G_t = sgn * amps_t[idx] over the gather table;
-    the columns are accumulated in blocks of _BLOCK.
+    the columns are accumulated in blocks of _BLOCK. A k-RDM of more than
+    CAP.tensor_dim rows, the bound on every dense matrix, raises
+    CapacityError before the table is built.
     """
     if not 1 <= k <= N:
         raise RangeError(f"need 1 <= k <= N={N}, got k={k}")
+    rows = binom(M, k)
+    if rows > CAP.tensor_dim:
+        raise CapacityError(f"{k}-RDM dimension {rows} exceeds capacity {CAP.tensor_dim}")
     amps = np.atleast_2d(amps)
     idx, sgn = _gather_table(M, N, k)
     rho = np.zeros((idx.shape[0], idx.shape[0]), dtype=complex)

@@ -587,6 +587,17 @@ def test_unusual_paths_give_valid_json_lines(tmp_path, capsys, name):
     capsys.readouterr()
 
 
+def test_entropy_of_a_k_rdm_above_tensor_dim_exits_3(tmp_path, capsys, monkeypatch):
+    from fermient import config, rdmcore
+
+    p = tmp_path / "s.fermistate"
+    assert cli.main(["state", "random", "--M", "6", "--N", "3", "--out", str(p)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(rdmcore, "CAP", config.Capacities(tensor_dim=8))
+    assert cli.main(["entropy", str(p), "--k", "2"]) == 3
+    assert capsys.readouterr().err.startswith("fermient: capacity: ")
+
+
 def test_oversized_bases_exit_3(tmp_path, capsys):
     occ = ",".join(str(i) for i in range(32))
     assert cli.main(["state", "slater", "--M", "64", "--occ", occ]) == 3

@@ -1079,6 +1079,61 @@ def test_ef_floor_exit_needs_the_antisymmetric_subspace(monkeypatch):
     assert len(drawn) == opts.restarts - 1
 
 
+def _one_member_value(t):
+    # the lone member sqrt(mu) phi of a rank-1 input, scored as ef_optimize scores it
+    rho = entmeasures._unit_trace(t.dense(), TOL)
+    mu, phi = hermlin.support(eig_herm(rho, vectors=True))
+    assert mu.size == 1
+    x = np.sqrt(mu)[:, None] * phi.T
+    return float(entmeasures._member_contribs(x, t.local_dim, t.local_dim).sum())
+
+
+def test_ef_credits_no_restart_with_a_win_that_is_only_rounding():
+    # restart 1 ends 4.4e-16 and 8.9e-16 below restart 0 here, which is rounding,
+    # not a better decomposition, so restart 0 keeps the credit
+    opts = dataclasses.replace(CLI_EF, seed=1)
+    names = ("random-M5-N3-004", "random-M5-N3-005")
+    entries = [e for e in build_corpus(1, 50) if e.name in names]
+    assert [e.name for e in entries] == list(names)
+    for e in entries:
+        assert ef_optimize(embed_wedge_to_tensor(e.rdm(2)), opts).restart == 0, e.name
+
+
+def test_ef_on_a_pure_pair_state_is_its_one_member_value():
+    # a rank-1 input runs the descent, polish and restarts of every input, and
+    # ends on the bits of its lone member sqrt(mu) phi, found by restart 0
+    opts = dataclasses.replace(CLI_EF, seed=1)
+    seen = 0
+    for seed in (1, 2, 3):
+        for e in build_corpus(seed, 50):
+            if not (isinstance(e.state, PureStateN) and e.basis.n_particles == 2):
+                continue
+            t = embed_wedge_to_tensor(e.rdm(2))
+            res = ef_optimize(t, opts)
+            assert res.value == _one_member_value(t), (seed, e.name)
+            assert res.restart == 0 and res.converged, (seed, e.name)
+            seen += 1
+    assert seen == 81
+
+
+def test_ef_rank_one_input_descends_over_a_larger_ensemble(monkeypatch):
+    descend = entmeasures._descend
+    shapes = []
+
+    def spy(iso, value_grad, floor, steps):
+        shapes.append(iso.shape)
+        return descend(iso, value_grad, floor, steps)
+
+    monkeypatch.setattr(entmeasures, "_descend", spy)
+    t = _pair_tensor(random_pure_state(RankedBasis(5, 2), seed=7))
+    res = ef_optimize(t, EfOptions(ensemble_size=3, restarts=2, max_iters=4, seed=1))
+    assert shapes == [(1, 3, 1), (1, 3, 1)]
+    deco = res.decomposition
+    recon = (deco.members.conj().T * deco.weights) @ deco.members
+    assert np.abs(recon.T - t.dense()).max() <= 1e-12
+    assert res.value == pytest.approx(_one_member_value(t), abs=1e-15)
+
+
 @pytest.mark.parametrize("lam", [[np.nan, 1.0], [0.5, 0.5, np.nan], [np.inf, 0.0]])
 def test_vn_entropy_refuses_non_finite_spectra(lam):
     with pytest.raises(NormalizationError):

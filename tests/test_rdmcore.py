@@ -203,6 +203,19 @@ def test_brute_force_agrees(M, N, k):
     np.testing.assert_allclose(fast, slow, atol=1e-12)
 
 
+def test_reduction_refuses_a_k_rdm_above_tensor_dim_before_its_table(monkeypatch):
+    # C(6, 2) = 15 rows against a bound of 8: refused before any gather table
+    from fermient import rdmcore
+
+    monkeypatch.setattr(rdmcore, "CAP", dataclasses.replace(CAP, tensor_dim=8))
+    st = random_pure_state(RankedBasis(6, 3), seed=2)
+    before = rdmcore._gather_table.cache_info()
+    with pytest.raises(CapacityError, match="2-RDM dimension 15"):
+        reduce_mixed(st, 2)
+    assert rdmcore._gather_table.cache_info() == before
+    assert reduce_mixed(st, 1).matrix.shape == (6, 6)
+
+
 def test_brute_force_capacity():
     st = slater_state(RankedBasis(10, 6), (0, 1, 2, 3, 4, 5))
     with pytest.raises(CapacityError):

@@ -203,3 +203,18 @@ def test_one_descent_loop_retracts():
 
     assert sites("_retract") == ["entmeasures.py:_descend"]
     assert sites("qr") == ["entmeasures.py:_retract", "entmeasures.py:ef_optimize"]
+
+
+def test_no_function_rebinds_an_imported_name():
+    # a local that shadows an import hides the import from the rest of that
+    # function; parameters are not checked
+    sites = set()
+    for name, tree in _trees().items():
+        imported = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        sites |= {f"{name}:{fn.name}:{node.id}"
+                  for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                  for node in ast.walk(fn)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                  and node.id in imported}
+    assert sorted(sites) == []
