@@ -1,8 +1,12 @@
 """Centralized numerical tolerances and capacity guards.
 
 Every module pulls its settable thresholds from here, so a run can be
-reproduced from the single record embedded in CLI outputs. Fixed limits that
-no option changes live beside their code:
+reproduced from the single record embedded in CLI outputs. Each field is read,
+and decides something no other field decides: `unit_trace` judges every trace
+against the normalization its matrix claims, and `tensor_dim` bounds every
+dense matrix, the dense subadditivity input included, and (by bytes) every
+reduction's gather table. Every tolerance is a float, as `--tol` parses it.
+Fixed limits that no option changes live beside their code:
   * `suites`' ROUTE_MATCH, CLOSED_FORM_MATCH and EF_FLOOR_GRACE;
   * the descent constants of `entmeasures` (_DESCENT_STEPS, _ARMIJO,
     _GRAD_FLOOR, _STEP_FLOOR, _FLOOR_GAP, _LOG_CLIP; _FLOOR_GAP also decides
@@ -26,11 +30,9 @@ from dataclasses import dataclass
 class Tolerances:
     # matrix symmetry/validation
     hermiticity: float = 1e-12
-    unit_trace: float = 1e-8
-    trace_match: float = 1e-10
+    unit_trace: float = 1e-8         # |tr - expected| <= this * max(expected, 1)
     marginal_match: float = 1e-8
     # eigensolver
-    jacobi_max_sweeps: int = 100     # unread; kept only so --tol accepts it
     eig_residual: float = 1e-9       # relative max |A u - lambda u|; also the
                                      # eigenvalue degeneracy gap
     # spectral functions
@@ -45,12 +47,10 @@ class Tolerances:
 @dataclass(frozen=True)
 class Capacities:
     state_dim: int = 200_000         # max antisymmetric basis dimension
-    tensor_dim: int = 4096           # max dense tensor-product dimension
+    tensor_dim: int = 4096           # max dense matrix dimension; a gather table
+                                     # holds at most the bytes of such a matrix
     brute_force: int = 100_000       # max M**N for the dense oracle
     elem_terms: int = 1_000_000      # max subset-sum terms in elem_sym_direct
-    dense_eig: int = 4096            # max dimension of an unfactored input to the
-                                     # subadditivity remainders; = tensor_dim, so
-                                     # no buildable two-party matrix is refused
     ef_rank: int = 64                # max support rank accepted by ef_optimize
 
 

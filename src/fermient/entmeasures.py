@@ -213,7 +213,7 @@ def _remainder_terms(t: TensorDM, blocks: list[tuple[int, ...]], tol: Tolerances
         |<x_b f_{i_b}|e_a>|^2.
     Factored inputs take the pairs from their Gram spectrum, so large fermionic
     tensors never hit the dense eigensolver; dense ones are guarded by
-    cap.dense_eig. No term depends on the basis inside a degenerate cluster or
+    cap.tensor_dim. No term depends on the basis inside a degenerate cluster or
     on a vector's phase, so every solve here takes LAPACK's vectors as they
     come (canonical=False)."""
     d = t.local_dim
@@ -223,9 +223,9 @@ def _remainder_terms(t: TensorDM, blocks: list[tuple[int, ...]], tol: Tolerances
         lam, gvecs = support(spec, tol)
         basis_vecs = ((vecs * np.sqrt(w)) @ gvecs) / np.sqrt(lam)
     else:
-        if t.dim > cap.dense_eig:
+        if t.dim > cap.tensor_dim:
             raise CapacityError(
-                f"dense subadditivity remainder limited to dim {cap.dense_eig}, "
+                f"dense subadditivity remainder limited to dim {cap.tensor_dim}, "
                 f"got {t.dim}")
         spec = eig_herm(t.dense(), vectors=True, tol=tol, canonical=False)
         lam, basis_vecs = support(spec, tol)
@@ -448,11 +448,9 @@ def _pair_objective(wk: np.ndarray, wl: np.ndarray, thetas: np.ndarray,
     return contribs[:half] + contribs[half:]
 
 
-def _best_pair_rotation(wk: np.ndarray, wl: np.ndarray, d1: int, d2: int,
-                        _base: float | None = None):
+def _best_pair_rotation(wk: np.ndarray, wl: np.ndarray, d1: int, d2: int):
     """Best (theta, phi, value) of the pair on the (theta, phi) grid, from one
-    batched scan. The optional fifth argument, the pair's current value, is
-    accepted and not read."""
+    batched scan."""
     vals = _pair_objective(wk, wl, _COARSE_T, _COARSE_P, d1, d2)
     i0 = int(np.argmin(vals))
     return float(_COARSE_T[i0]), float(_COARSE_P[i0]), float(vals[i0])

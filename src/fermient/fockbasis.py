@@ -80,9 +80,10 @@ def colex_masks(M: int, j: int) -> np.ndarray:
     masks = np.zeros(1, dtype=np.uint64)
     for t in range(j):
         # the (t+1)-subsets whose top mode is c: the t-subsets of modes < c
-        # (a colex prefix of length C(c, t)) with bit c added
+        # (a colex prefix of length C(c, t)) with bit c added; j - t - 1 modes
+        # must still fit above c, so c stops at M - j + t
         masks = np.concatenate([masks[:binom(c, t)] | np.uint64(1 << c)
-                                for c in range(t, M)])
+                                for c in range(t, M - j + t + 1)])
     return masks
 
 

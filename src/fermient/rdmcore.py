@@ -93,7 +93,14 @@ def _gather_table(M: int, N: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     Rows are the k-sets I of RankedBasis(M, k), columns the (N-k)-sets K,
     both in colex order. idx[I, K] is the rank of I | K in RankedBasis(M, N)
     and sgn[I, K] is merge_sign(I, K); where I and K overlap, sgn is 0.
+    A table whose 5 bytes per entry outweigh a tensor_dim x tensor_dim complex
+    matrix, the largest array any other guard admits, raises CapacityError
+    before anything is allocated.
     """
+    entries = binom(M, k) * binom(M, N - k)
+    if 5 * entries > 16 * CAP.tensor_dim ** 2:
+        raise CapacityError(f"({M}, {N}, {k}) gather table of {entries} entries needs more "
+                            f"bytes than a {CAP.tensor_dim}-dim complex matrix")
     rows = colex_masks(M, k)
     cols = colex_masks(M, N - k)
     members = colex_masks(M, N)         # ascending, so sorted search ranks
@@ -221,7 +228,7 @@ def rescale(r: ReducedDM, target: str, tol: Tolerances = TOL) -> ReducedDM:
     cur = float(np.trace(r.matrix).real)
     want = phys if target == PHYSICS else 1.0
     have = phys if r.normalization == PHYSICS else 1.0
-    if not abs(cur - have) <= tol.trace_match * max(have, 1.0):
+    if not abs(cur - have) <= tol.unit_trace * max(have, 1.0):
         raise NormalizationError(f"trace {cur!r} inconsistent with tag {r.normalization!r}")
     return ReducedDM(r.k, r.basis, r.matrix * (want / have), target, r.n_particles)
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib
 import io
 import json
@@ -10,7 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from fermient import cli, hermlin, load_rdm, load_state, loads_state
+from fermient import (PHYSICS, RankedBasis, cli, dumps_rdm, hermlin, load_rdm, load_state,
+                      loads_state, random_pure_state, reduce_pure, rescale)
 from fermient.errors import NumericalError
 from fermient.report import bound_report, fmt17
 
@@ -344,13 +346,29 @@ def test_version_flag(capsys):
 
 def test_tol_overrides_parse_by_field_type(capsys):
     yang = ["yang", "--m", "3", "--n", "1", "--numeric"]
-    assert cli.main(yang + ["--tol", "jacobi_max_sweeps=50"]) == 0
-    meta = _json_lines(capsys.readouterr().out)[0]["meta"]
-    assert meta["tolerances"]["jacobi_max_sweeps"] == 50
     for bad in ("jacobi_max_sweeps=5.5", "unit_trace=nan", "bound_slack=inf",
                 "hermiticity=abc"):
         assert cli.main(yang + ["--tol", bad]) == 2, bad
     capsys.readouterr()
+
+
+def test_unread_and_duplicate_tolerances_are_unknown_names(capsys):
+    yang = ["yang", "--m", "3", "--n", "1"]
+    for gone in ("jacobi_max_sweeps=50", "trace_match=1e-9"):
+        assert cli.main(yang + ["--tol", gone]) == 2, gone
+        assert "unknown tolerance" in capsys.readouterr().err
+
+
+def test_physics_rdm_trace_is_judged_by_unit_trace(tmp_path, capsys):
+    # the trace C(3, 2) = 3, off by 1.5e-8, is within unit_trace * 3; off by
+    # 3e-7 it is not
+    r = rescale(reduce_pure(random_pure_state(RankedBasis(5, 3), seed=5), 2), PHYSICS)
+    p = tmp_path / "r.fermirdm"
+    p.write_text(dumps_rdm(dataclasses.replace(r, matrix=r.matrix * (1 + 5e-9))))
+    assert cli.main(["entropy", str(p)]) == 0
+    p.write_text(dumps_rdm(dataclasses.replace(r, matrix=r.matrix * (1 + 1e-7))))
+    assert cli.main(["entropy", str(p)]) == 2
+    assert "inconsistent with tag" in capsys.readouterr().err
 
 
 def test_jobs_is_a_verify_option_only(tmp_path, capsys):
@@ -596,6 +614,26 @@ def test_entropy_of_a_k_rdm_above_tensor_dim_exits_3(tmp_path, capsys, monkeypat
     monkeypatch.setattr(rdmcore, "CAP", config.Capacities(tensor_dim=8))
     assert cli.main(["entropy", str(p), "--k", "2"]) == 3
     assert capsys.readouterr().err.startswith("fermient: capacity: ")
+
+
+def test_entropy_of_a_gather_table_above_a_tensor_dim_matrix_exits_3(tmp_path, capsys,
+                                                                    monkeypatch):
+    from fermient import rdmcore
+
+    p = tmp_path / "s.fermistate"
+    assert cli.main(["state", "random", "--M", "8", "--N", "4", "--out", str(p)]) == 0
+    capsys.readouterr()
+    rdmcore._gather_table.cache_clear()
+    monkeypatch.setattr(rdmcore, "CAP", dataclasses.replace(rdmcore.CAP, tensor_dim=8))
+    assert cli.main(["entropy", str(p), "--k", "1"]) == 3
+    assert capsys.readouterr().err.startswith("fermient: capacity: ")
+
+
+def test_state_above_half_filling_is_built_level_by_level(tmp_path, capsys):
+    # C(32, 28) = 35960 basis states, without the C(32, 16) masks between
+    p = tmp_path / "y.fermistate"
+    assert cli.main(["state", "yang", "--m", "16", "--n", "14", "--out", str(p)]) == 0
+    assert "dim=35960" in capsys.readouterr().out
 
 
 def test_oversized_bases_exit_3(tmp_path, capsys):

@@ -282,7 +282,7 @@ def test_subadd_n_grouping():
 
 def test_subadd_n_dense_capacity():
     t = random_two_party_dm(3, rank=2, seed=3)
-    small = dataclasses.replace(CAP, dense_eig=4)
+    small = dataclasses.replace(CAP, tensor_dim=4)
     with pytest.raises(CapacityError):
         subadd_remainder_n(t, cap=small)
 
@@ -329,7 +329,7 @@ def test_subadd_trace_form_alt_does_not_read_the_roots(monkeypatch):
 def test_subadd_accepts_every_two_party_matrix_up_to_tensor_dim():
     # 23**2 = 529 lies above the old dense_eig of 512 and within tensor_dim
     t = random_two_party_dm(23, 3, seed=5)
-    assert t.dim <= CAP.tensor_dim <= CAP.dense_eig
+    assert t.dim <= CAP.tensor_dim
     rep = subadd_remainder(t)
     assert rep.holds and rep.slack == pytest.approx(0.16848942339358, abs=1e-12)
 
@@ -585,9 +585,8 @@ def test_best_pair_rotation_reevaluates_below_coarse_grid():
     tt, pp = np.meshgrid(_ANGLES, _PHASES, indexing="ij")
     for d, wk, wl in _kernel_pairs():
         coarse = _pair_objective(wk, wl, tt.ravel(), pp.ravel(), d, d).min()
-        # an unbeatable base skips refinement; an infinite one forces it
-        assert _best_pair_rotation(wk, wl, d, d, -math.inf)[2] == coarse
-        theta, phi, val = _best_pair_rotation(wk, wl, d, d, math.inf)
+        assert _best_pair_rotation(wk, wl, d, d)[2] == coarse
+        theta, phi, val = _best_pair_rotation(wk, wl, d, d)
         again = _pair_objective(wk, wl, np.array([theta]), np.array([phi]), d, d)
         assert abs(again[0] - val) <= 1e-12
         assert val <= coarse

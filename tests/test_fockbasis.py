@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,6 +180,27 @@ def test_colex_masks_are_ascending_and_sorted_search_ranks(M):
         assert masks.tolist() == [unrank(basis, r) for r in range(basis.dim)]
         assert (np.diff(masks.astype(np.int64)) > 0).all()
         assert np.searchsorted(masks, masks[::-1]).tolist() == list(range(basis.dim))[::-1]
+
+
+@pytest.mark.parametrize("M, N", [(M, N) for M in (10, 13, 16) for N in range(M // 2 + 1, M + 1)]
+                         + [(24, 20), (24, 23)])
+def test_colex_masks_above_half_filling_follow_rank(M, N):
+    basis = RankedBasis(M, N)
+    masks = colex_masks(M, N).tolist()
+    assert [rank(basis, s) for s in masks] == list(range(basis.dim))
+
+
+def test_colex_masks_never_build_the_middle_of_the_lattice():
+    # C(24, 20) = 10626 masks; building every level over all 24 modes passes
+    # through C(24, 12) = 2.7e6 of them
+    tracemalloc.start()
+    try:
+        masks = colex_masks(24, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert masks.size == 10626
+    assert peak <= 4 * masks.nbytes
 
 
 @settings(max_examples=200, deadline=None)

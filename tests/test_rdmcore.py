@@ -216,6 +216,19 @@ def test_reduction_refuses_a_k_rdm_above_tensor_dim_before_its_table(monkeypatch
     assert reduce_mixed(st, 1).matrix.shape == (6, 6)
 
 
+def test_reduction_refuses_a_gather_table_above_a_tensor_dim_matrix(monkeypatch):
+    # at tensor_dim 8 the table may hold 16 * 64 / 5 = 204 entries; an (8, 4)
+    # state at k = 1 needs C(8, 1) * C(8, 3) = 448 while its 1-RDM has 8 rows
+    from fermient import rdmcore
+
+    rdmcore._gather_table.cache_clear()
+    monkeypatch.setattr(rdmcore, "CAP", dataclasses.replace(CAP, tensor_dim=8))
+    st = random_pure_state(RankedBasis(8, 4), seed=2)
+    with pytest.raises(CapacityError, match="gather table of 448 entries"):
+        reduce_mixed(st, 1)
+    assert rdmcore._gather_table.cache_info().currsize == 0
+
+
 def test_brute_force_capacity():
     st = slater_state(RankedBasis(10, 6), (0, 1, 2, 3, 4, 5))
     with pytest.raises(CapacityError):

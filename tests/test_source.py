@@ -100,13 +100,27 @@ def test_tolerances_are_resolved_once_in_main():
 
 
 def test_every_tolerance_and_capacity_is_read():
-    # a threshold printed in every header must be enforced somewhere;
-    # jacobi_max_sweeps stays only because --tol accepts it (see config.py)
+    # a threshold printed in every header must be enforced somewhere
     read = {node.attr for tree in _trees().values() for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     fields = {f.name for record in (Tolerances, Capacities)
               for f in dataclasses.fields(record)}
-    assert sorted(fields - read) == ["jacobi_max_sweeps"]
+    assert sorted(fields - read) == []
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for name, tree in _trees().items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                body = fn.body if isinstance(fn.body, list) else [fn.body]
+                read = {node.id for stmt in body for node in ast.walk(stmt)
+                        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+                args = fn.args
+                params = args.posonlyargs + args.args + args.kwonlyargs + [
+                    a for a in (args.vararg, args.kwarg) if a is not None]
+                unread += [f"{name}:{fn.lineno} {p.arg}" for p in params if p.arg not in read]
+    assert unread == []
 
 
 def test_spectral_support_is_judged_only_in_hermlin():
