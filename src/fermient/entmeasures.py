@@ -20,7 +20,9 @@ Conventions:
     inputs) ends the run. ef_exact_m4 gives the exact value on four modes.
   * min_s2_search runs the same descent and kernel on unit amplitude vectors
     (one-column isometries), the gradient scattered through the gather table;
-    its restarts are the lanes of one lockstep descent.
+    its restarts are the lanes of one lockstep descent. Its gathered G are
+    C(M,2) x C(M,N-2), tall at N = 3, so the kernel diagonalizes the smaller
+    Gram G^+ G there (5 x 5 at M = 5); E_f's square members keep G G^+.
   * squashed_extension_value(ext) = (1/2)(-S123 - S3 + S13 + S23) for a
     tripartite extension of rho12; nonnegative by strong subadditivity.
 """
@@ -460,7 +462,16 @@ def _gram_entropy_grad(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum of _spectrum_contribs over the Grams P_k = A_k A_k^+ of a stack
     (..., K, d1, d2) of d1 x d2 matrices A_k, one sum per leading index, and
     its gradient in conj(A), from one batched eigh: (ln lam_k - ln P_k) A_k
-    with lam_k = Tr P_k."""
+    with lam_k = Tr P_k.
+
+    The eigh runs on the smaller Gram: a tall stack (d1 > d2) is handled as
+    its conjugate transpose, whose Grams A_k^+ A_k share the nonzero spectrum
+    of P_k, and the gradient is conjugate-transposed back, since
+    f(A A^+) A = A f(A^+ A) for every f. Square stacks (E_f) take the direct
+    route."""
+    if a.shape[-2] > a.shape[-1]:
+        value, g = _gram_entropy_grad(a.conj().swapaxes(-1, -2))
+        return value, g.conj().swapaxes(-1, -2)
     p, v = np.linalg.eigh(a @ a.conj().swapaxes(-1, -2))
     log_p = np.log(np.maximum(p, _LOG_CLIP))
     log_lam = np.log(np.maximum(p.sum(axis=-1), _LOG_CLIP))

@@ -156,17 +156,26 @@ def gather_amplitudes(amps: np.ndarray, M: int, N: int, k: int) -> np.ndarray:
     return sgn * amps[..., idx]
 
 
+@lru_cache(maxsize=None)
+def _scatter_plan(M: int, N: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat positions, basis ranks and signs of the nonzero entries of the
+    (M, N, k) gather table, in row-major order."""
+    idx, sgn = _gather_table(M, N, k)
+    pos = np.flatnonzero(sgn)
+    return pos, idx.ravel()[pos], sgn.ravel()[pos]
+
+
 def scatter_amplitudes(G: np.ndarray, M: int, N: int, k: int) -> np.ndarray:
     """Adjoint of gather_amplitudes: out[..., n] sums sgn * G where idx = n.
 
     A stack of G is scattered by one bincount, each slice's indices offset by
     its own dim-long block, so every slice sums in the order a lone G would."""
-    idx, sgn = _gather_table(M, N, k)
-    nz = sgn != 0
+    pos, ranks, signs = _scatter_plan(M, N, k)
     lead, dim = G.shape[:-2], binom(M, N)
     size = dim * math.prod(lead)
-    at = (idx[nz] + np.arange(0, size, dim)[:, None]).ravel()
-    vals = (sgn[nz] * G[..., nz]).ravel()
+    at = (ranks + np.arange(0, size, dim)[:, None]).ravel()
+    # the width is spelled out so that an empty stack reshapes too
+    vals = (signs * G.reshape(*lead, G.shape[-2] * G.shape[-1])[..., pos]).ravel()
     out = np.bincount(at, vals.real, size) + 1j * np.bincount(at, vals.imag, size)
     return out.reshape(*lead, dim)
 

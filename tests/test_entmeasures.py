@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -55,7 +58,7 @@ from fermient import (
 )
 from fermient import TOL, NumericalError, entmeasures, hermlin, statekit
 from fermient import suites
-from fermient.rdmcore import PHYSICS, tensor_ptrace
+from fermient.rdmcore import PHYSICS, gather_amplitudes, tensor_ptrace
 from fermient.report import report_json_line
 
 LN2 = math.log(2.0)
@@ -897,6 +900,107 @@ def test_ensemble_kernel_on_one_lane_is_its_2d_call_with_a_lane_axis():
                 assert g.tobytes() == flat_g[None].tobytes(), e.name
                 checked += 1
     assert checked >= 40
+
+
+def _s2_stack(M, N, lanes):
+    # min-S2 kernel input: one (1, C(M,2), C(M,N-2)) gathered G per unit lane
+    G = np.stack([gather_amplitudes(psi / np.linalg.norm(psi), M, N, 2) for psi in lanes])
+    return G[:, None] / math.sqrt(math.comb(N, 2))
+
+
+def _s2_stacks():
+    # tall at (5,3), (7,3) and the one-column N = 2 case (6,2), square at
+    # (6,4); each with a determinant lane (rank-deficient Gram) among random
+    # lanes, and every stack also conjugate-transposed (wide)
+    for M, N in ((5, 3), (7, 3), (6, 2), (6, 4)):
+        basis = RankedBasis(M, N)
+        rng = statekit.seeded_rng(M, N)
+        lanes = [statekit.complex_normal(rng, basis.dim),
+                 slater_state(basis, range(N)).amplitudes,
+                 statekit.complex_normal(rng, basis.dim)]
+        tall = _s2_stack(M, N, lanes)
+        yield f"({M},{N})", tall
+        yield f"({M},{N})^+", np.ascontiguousarray(tall.conj().swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("a", [pytest.param(a, id=name) for name, a in _s2_stacks()])
+def test_gram_kernel_diagonalizes_the_smaller_gram_side(monkeypatch, a):
+    d1, d2 = a.shape[-2:]
+    seen = []
+    eigh = np.linalg.eigh
+
+    def spy(m):
+        seen.append(m.shape[-2:])
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    value, g = entmeasures._gram_entropy_grad(a)
+    monkeypatch.undo()
+    assert seen == [(min(d1, d2),) * 2]
+    assert value.shape == a.shape[:-3] and g.shape == a.shape
+    # the value is the weighted entropy of the full A A^+ spectrum
+    p = np.linalg.eigvalsh(a @ a.conj().swapaxes(-1, -2))
+    lam = p.sum(axis=-1)
+    for j in range(a.shape[0]):
+        want = sum(float(w) * entropy_of_probs(q / w) for q, w in zip(p[j], lam[j]))
+        assert abs(value[j] - want) <= 1e-13, j
+    # the gradient is the tall-side formula (ln lam - ln P) A
+    p, v = eigh(a @ a.conj().swapaxes(-1, -2))
+    log_p = np.log(np.maximum(p, 1e-300))
+    want = v @ ((np.log(lam)[..., None, None] - log_p[..., None])
+                * (v.conj().swapaxes(-1, -2) @ a))
+    for j in range(a.shape[0]):
+        scale = max(np.abs(want[j]).max(), np.abs(a[j]).max())
+        assert np.abs(g[j] - want[j]).max() <= 1e-12 * scale, j
+
+
+def test_gram_kernel_keeps_the_bits_of_square_stacks():
+    # square stacks (every E_f member, min-S2 at N = 4 on six modes) take
+    # the direct route: their bytes are those of the formula below
+    def direct(a):
+        p, v = np.linalg.eigh(a @ a.conj().swapaxes(-1, -2))
+        log_p = np.log(np.maximum(p, 1e-300))
+        log_lam = np.log(np.maximum(p.sum(axis=-1), 1e-300))
+        g = v @ ((log_lam[..., None, None] - log_p[..., None])
+                 * (v.conj().swapaxes(-1, -2) @ a))
+        return entmeasures._spectrum_contribs(p).sum(axis=-1), g
+
+    stacks = [a for name, a in _s2_stacks() if name.startswith("(6,4)")]
+    for e in build_corpus(seed=1, n_random=8):
+        if e.basis.n_particles < 2:
+            continue
+        t = embed_wedge_to_tensor(e.rdm(2))
+        mu, phi = hermlin.support(eig_herm(t.dense(), vectors=True))
+        x = np.sqrt(mu)[:, None] * phi.T
+        L, d = mu.size ** 2, t.local_dim
+        haar = np.linalg.qr(statekit.complex_normal(statekit.seeded_rng(L), L, mu.size))[0]
+        stacks.append((haar @ x).reshape(1, L, d, d))
+    for a in stacks:
+        value, g = entmeasures._gram_entropy_grad(a)
+        want_value, want_g = direct(a)
+        assert value.tobytes() == want_value.tobytes()
+        assert g.tobytes() == want_g.tobytes()
+    assert len(stacks) >= 10
+
+
+def test_min_s2_search_is_identical_across_processes(tmp_path):
+    # BLAS and LAPACK run in each interpreter afresh, so compare two of them
+    src = os.path.dirname(os.path.dirname(entmeasures.__file__))
+    env = dict(os.environ, PYTHONHASHSEED="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("from fermient import MinS2Options, min_s2_search\n"
+              "res = min_s2_search(5, 3, MinS2Options(restarts=3, seed=1))\n"
+              "print(res.best_state.amplitudes.tobytes().hex())\n")
+
+    def run():
+        done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr.decode()
+        return done.stdout
+
+    first, second = run(), run()
+    assert first == second
+    assert len(bytes.fromhex(first.decode().strip())) == 16 * math.comb(5, 3)
 
 
 def test_min_s2_search_memory_stays_within_its_group_budget():

@@ -402,6 +402,38 @@ def test_scatter_is_the_adjoint_of_gather(M, N, k):
     np.testing.assert_allclose(G @ G.conj().T / math.comb(N, k), rho, atol=1e-14)
 
 
+@pytest.mark.parametrize("M,N", [(5, 3), (6, 4), (7, 3)])
+def test_scatter_plan_keeps_the_bytes_of_the_masked_scatter(M, N):
+    # the cached plan sums in the row-major order of the boolean-mask scatter
+    # below, for a 2-D G, 1- and 3-lane stacks, a conjugate-transposed view
+    # and an empty stack
+    from fermient import rdmcore
+    from fermient.statekit import complex_normal, seeded_rng
+
+    def masked(G):
+        idx, sgn = rdmcore._gather_table(M, N, 2)
+        nz = sgn != 0
+        lead, dim = G.shape[:-2], math.comb(M, N)
+        size = dim * math.prod(lead)
+        at = (idx[nz] + np.arange(0, size, dim)[:, None]).ravel()
+        vals = (sgn[nz] * G[..., nz]).ravel()
+        out = np.bincount(at, vals.real, size) + 1j * np.bincount(at, vals.imag, size)
+        return out.reshape(*lead, dim)
+
+    rng = seeded_rng(M, N)
+    shape = (math.comb(M, 2), math.comb(M, N - 2))
+    stacks = [complex_normal(rng, *shape), complex_normal(rng, 1, *shape),
+              complex_normal(rng, 3, *shape)]
+    stacks.append(np.ascontiguousarray(stacks[-1].conj().swapaxes(-1, -2))
+                  .conj().swapaxes(-1, -2))
+    stacks.append(np.zeros((0, *shape), dtype=complex))
+    rdmcore.scatter_amplitudes(stacks[0], M, N, 2)
+    misses = rdmcore._scatter_plan.cache_info().misses
+    for G in stacks:
+        assert rdmcore.scatter_amplitudes(G, M, N, 2).tobytes() == masked(G).tobytes()
+    assert rdmcore._scatter_plan.cache_info().misses == misses
+
+
 @pytest.mark.parametrize("M,N,k", [(4, 2, 1), (5, 3, 2), (5, 3, 3), (6, 2, 2)])
 def test_mixed_reduction_agrees_with_brute_force(M, N, k):
     basis = RankedBasis(M, N)
