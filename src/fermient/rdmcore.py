@@ -105,20 +105,22 @@ def _gather_table(M: int, N: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     cols = colex_masks(M, N - k)
     members = colex_masks(M, N)         # ascending, so sorted search ranks
     modes = np.arange(M, dtype=np.uint64)
-    row_bits = ((rows[:, None] >> modes) & np.uint64(1)).astype(np.int32)
+    row_bits = ((rows[:, None] >> modes) & np.uint64(1)).astype(float)
     # above[I, m]: modes of I above m, so merge_sign(I, K) is the parity of
-    # the sum over m in K of above[I, m]
-    above = k - np.cumsum(row_bits, axis=1, dtype=np.int32)
+    # the sum over m in K of above[I, m]; that sum is an integer of at most
+    # k * (N - k), so the float GEMM that forms it is exact
+    above = k - np.cumsum(row_bits, axis=1)
     idx = np.zeros((rows.size, cols.size), dtype=np.int32)
     sgn = np.zeros((rows.size, cols.size), dtype=np.int8)
     for c0 in range(0, cols.size, _BLOCK):
-        K = cols[c0:c0 + _BLOCK]
-        ranks = np.searchsorted(members, rows[:, None] | K)
-        col_bits = ((K[:, None] >> modes) & np.uint64(1)).astype(np.int32)
-        parity = (above @ col_bits.T) & 1
+        block = slice(c0, c0 + _BLOCK)
+        K = cols[block]
+        col_bits = ((K[:, None] >> modes) & np.uint64(1)).astype(float)
+        # only disjoint (I, K) get a rank and a sign; the rest stay 0
         disjoint = (rows[:, None] & K) == 0
-        idx[:, c0:c0 + K.size] = np.where(disjoint, ranks, 0)
-        sgn[:, c0:c0 + K.size] = np.where(disjoint, 1 - 2 * parity, 0)
+        idx[:, block][disjoint] = np.searchsorted(members, (rows[:, None] | K)[disjoint])
+        parity = (above @ col_bits.T)[disjoint].astype(np.int32) & 1
+        sgn[:, block][disjoint] = 1 - 2 * parity
     return idx, sgn
 
 

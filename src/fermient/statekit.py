@@ -7,6 +7,7 @@ stream, so every seed is bit-reproducible across platforms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -164,7 +165,37 @@ def dumps_state(state: PureStateN) -> str:
                      + rows) + "\n"
 
 
+# loads_state takes this many rows at a time: a group is screened with array
+# operations, and the rows held beside the amplitudes stay a few hundred
+_ROWS = 256
+
+
+def _put_rows(rows: list[list[str]], amps: np.ndarray, seen: np.ndarray) -> bool:
+    """Write a group of `index re im` rows into amps and mark them in seen, if
+    every row has three numeric fields and a new, in-range index; else change
+    nothing and return False."""
+    if set(map(len, rows)) != {3}:
+        return False
+    idx_s, re_s, im_s = zip(*rows)
+    try:
+        idx = np.fromiter(map(int, idx_s), np.int64, len(rows))
+        vals = np.fromiter(map(float, re_s + im_s), float, 2 * len(rows))
+    except (ValueError, OverflowError):
+        return False
+    if (idx.min() < 0 or idx.max() >= seen.size or len(set(idx.tolist())) < len(rows)
+            or seen[idx].any()):
+        return False
+    seen[idx] = True
+    pairs = amps.view(float).reshape(-1, 2)    # writes each part's signed zero
+    pairs[idx, 0] = vals[:len(rows)]
+    pairs[idx, 1] = vals[len(rows):]
+    return True
+
+
 def loads_state(text: str) -> PureStateN:
+    """Parse fermistate text. Rows are read _ROWS at a time; a group that
+    fails a check is walked again row by row, so the error names the first
+    bad row of the file."""
     recs = records(text, "fermistate")
     header = next(recs)
     try:
@@ -175,19 +206,22 @@ def loads_state(text: str) -> PureStateN:
     _guard_dim(basis)
     dim = basis.dim
     amps = np.zeros(dim, dtype=complex)
-    seen = set()
-    for fields in recs:
-        try:
-            idx_s, re_s, im_s = fields
-            idx, value = int(idx_s), complex(float(re_s), float(im_s))
-        except ValueError as exc:
-            raise ShapeError(f"malformed fermistate row: {' '.join(fields)!r}") from exc
-        if not 0 <= idx < dim:
-            raise ShapeError(f"amplitude index {idx} outside basis of dim {dim}")
-        if idx in seen:
-            raise ShapeError(f"amplitude index {idx} appears twice")
-        seen.add(idx)
-        amps[idx] = value
+    seen = np.zeros(dim, dtype=bool)
+    for rows in iter(lambda: list(itertools.islice(recs, _ROWS)), []):
+        if _put_rows(rows, amps, seen):
+            continue
+        for fields in rows:
+            try:
+                idx_s, re_s, im_s = fields
+                idx, value = int(idx_s), complex(float(re_s), float(im_s))
+            except ValueError as exc:
+                raise ShapeError(f"malformed fermistate row: {' '.join(fields)!r}") from exc
+            if not 0 <= idx < dim:
+                raise ShapeError(f"amplitude index {idx} outside basis of dim {dim}")
+            if seen[idx]:
+                raise ShapeError(f"amplitude index {idx} appears twice")
+            seen[idx] = True
+            amps[idx] = value
     return PureStateN(basis, amps)
 
 

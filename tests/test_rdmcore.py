@@ -380,6 +380,42 @@ def test_gather_table_matches_scalar_reference():
                             assert sgn[row, col] == merge_sign(I, K)
 
 
+def _all_entries_table(M, N, k):
+    # the table as first built: a rank for every (I, K), overlapping or not,
+    # int32 parity products, and np.where to zero the overlapping entries
+    from fermient.fockbasis import colex_masks
+
+    rows, cols, members = colex_masks(M, k), colex_masks(M, N - k), colex_masks(M, N)
+    modes = np.arange(M, dtype=np.uint64)
+    row_bits = ((rows[:, None] >> modes) & np.uint64(1)).astype(np.int32)
+    above = k - np.cumsum(row_bits, axis=1, dtype=np.int32)
+    idx = np.zeros((rows.size, cols.size), dtype=np.int32)
+    sgn = np.zeros((rows.size, cols.size), dtype=np.int8)
+    for c0 in range(0, cols.size, 256):
+        K = cols[c0:c0 + 256]
+        ranks = np.searchsorted(members, rows[:, None] | K)
+        col_bits = ((K[:, None] >> modes) & np.uint64(1)).astype(np.int32)
+        parity = (above @ col_bits.T) & 1
+        disjoint = (rows[:, None] & K) == 0
+        idx[:, c0:c0 + K.size] = np.where(disjoint, ranks, 0)
+        sgn[:, c0:c0 + K.size] = np.where(disjoint, 1 - 2 * parity, 0)
+    return idx, sgn
+
+
+def test_gather_table_is_byte_equal_to_the_all_entries_formula():
+    # (40, 39, 1) and (34, 33, 2) hold masks past bit 31
+    from fermient.rdmcore import _gather_table
+
+    cases = [(M, N, k) for M in range(1, 13) for N in range(1, M + 1)
+             for k in range(1, N + 1)] + [(14, 7, 2), (40, 39, 1), (34, 33, 2)]
+    for M, N, k in cases:
+        assert 5 * math.comb(M, k) * math.comb(M, N - k) <= 16 * CAP.tensor_dim ** 2
+        got, want = _gather_table(M, N, k), _all_entries_table(M, N, k)
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape), (M, N, k)
+            assert g.tobytes() == w.tobytes(), (M, N, k)
+
+
 @pytest.mark.parametrize("M,N,k", [(4, 2, 1), (5, 3, 1), (5, 3, 2), (5, 3, 3),
                                    (6, 4, 2), (7, 3, 3), (8, 4, 2), (8, 4, 3)])
 def test_scatter_is_the_adjoint_of_gather(M, N, k):

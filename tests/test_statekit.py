@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from fermient import (
     wedge_density,
     yang_state,
 )
+from fermient import statekit
 
 
 def test_slater_places_single_amplitude():
@@ -218,3 +220,57 @@ def test_convex_mixture_refuses_non_finite_weights(weights):
     b = RankedBasis(4, 2)
     with pytest.raises(NormalizationError):
         convex_mixture(weights, [slater_state(b, (0, 1)), slater_state(b, (2, 3))])
+
+
+def _rows_text(rows):
+    # 924-dim (12, 6) basis; rows placed past the first group of a parse
+    return "fermistate 12 6\n" + "".join(f"{r}\n" for r in rows)
+
+
+_FIRST = [f"{i} 0.03 0" for i in range(statekit._ROWS + 5)]
+
+
+@pytest.mark.parametrize("tail,message", [
+    (["600 0.1", "601 0.1 0 7"], "malformed fermistate row: '600 0.1'"),
+    (["x 0.1 0"], "malformed fermistate row: 'x 0.1 0'"),
+    (["5.0 0.1 0"], "malformed fermistate row: '5.0 0.1 0'"),
+    (["600 0.1 abc"], "malformed fermistate row: '600 0.1 abc'"),
+    (["924 0.1 0"], "amplitude index 924 outside basis of dim 924"),
+    (["-1 0.1 0"], "amplitude index -1 outside basis of dim 924"),
+    (["99999999999999999999 0.1 0"],
+     "amplitude index 99999999999999999999 outside basis of dim 924"),
+    (["600 0.1 0", "700 0.1 0", "600 0.2 0"], "amplitude index 600 appears twice"),
+    (["3 0.1 0"], "amplitude index 3 appears twice"),
+    (["600 0.1 0", "601 0.1", "600 0.2 0"], "malformed fermistate row: '601 0.1'"),
+])
+def test_fermistate_errors_past_the_first_group_name_the_first_bad_row(tail, message):
+    # each bad row sits in a later group than the first; a duplicate of row 3
+    # crosses groups, and a malformed row beats a later duplicate
+    with pytest.raises(ShapeError) as err:
+        loads_state(_rows_text(_FIRST + tail + ["800 0.1 0"]))
+    assert str(err.value) == message
+
+
+def test_fermistate_groups_skip_comments_read_crlf_and_keep_signed_zeros():
+    basis = RankedBasis(12, 6)
+    amps = random_pure_state(basis, seed=8).amplitudes.copy()
+    j = statekit._ROWS + 40      # in the second group
+    amps[3], amps[j] = complex(-0.0, abs(amps[3])), complex(abs(amps[j]), -0.0)
+    st = PureStateN(basis, amps)
+    lines = dumps_state(st).splitlines()
+    lines[100:100] = ["# a note inside a group", "", "   "]
+    back = loads_state("\r\n".join(lines) + "\r\n")
+    assert back.amplitudes.tobytes() == st.amplitudes.tobytes()
+    assert np.signbit(back.amplitudes[3].real)
+    assert np.signbit(back.amplitudes[j].imag)
+
+
+def test_fermistate_parse_memory_stays_near_the_text():
+    text = dumps_state(random_pure_state(RankedBasis(14, 7), seed=2))
+    tracemalloc.start()
+    try:
+        loads_state(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(text)
