@@ -3,9 +3,11 @@
 Every module pulls its settable thresholds from here, so a run can be
 reproduced from the single record embedded in CLI outputs. Each field is read,
 and decides something no other field decides: `unit_trace` judges every trace
-against the normalization its matrix claims, and `tensor_dim` bounds every
-dense matrix, the dense subadditivity input included, and (by bytes) every
-reduction's gather table. Every tolerance is a float, as `--tol` parses it.
+against the normalization its matrix claims (a physics fermirdm file's too,
+whose N `loads_rdm` takes as the n with C(n, k) nearest the trace), and
+`tensor_dim` bounds every dense matrix, the dense subadditivity input
+included, and (by bytes) every reduction's gather table. Every tolerance is a
+float, as `--tol` parses it.
 Fixed limits that no option changes live beside their code:
   * `suites`' ROUTE_MATCH, CLOSED_FORM_MATCH and EF_FLOOR_GRACE;
   * the descent constants of `entmeasures` (_DESCENT_STEPS, _ARMIJO,
@@ -16,8 +18,7 @@ Fixed limits that no option changes live beside their code:
   * `ef_optimize`'s 1e-15 margin for accepting a pair rotation and
     `_finish`'s 1e-14 floor on a member's weight;
   * `yang_analytics`' 1e-12 check that the closed-form spectrum sums to 1;
-  * `PureStateN`'s 1e-12 norm check and `convex_mixture`'s 1e-9 weight sum;
-  * `loads_rdm`'s 1e-6 match of a physics trace to C(N, k), which recovers N.
+  * `PureStateN`'s 1e-12 norm check and `convex_mixture`'s 1e-9 weight sum.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ class Tolerances:
     # matrix symmetry/validation
     hermiticity: float = 1e-12
     unit_trace: float = 1e-8         # |tr - expected| <= this * max(expected, 1)
-    marginal_match: float = 1e-8
     # eigensolver
     eig_residual: float = 1e-9       # relative max |A u - lambda u|; also the
                                      # eigenvalue degeneracy gap

@@ -54,11 +54,11 @@ class ReducedDM:
 class TensorDM:
     """Density matrix on (C^local_dim)^(x parties), row-major party ordering.
 
-    `factors`, when present, holds (weights, vectors) with
-    matrix == sum_i w_i |v_i><v_i| exactly; low-rank paths use it to avoid
-    dense eigensolves at large dimension. `matrix` may be None for factored
-    states too large to materialize densely: dense() then builds the matrix
-    from the factors, and raises CapacityError above CAP.tensor_dim.
+    It holds a dense `matrix` or `factors`, never both: factors are
+    (weights, vectors) with rho = sum_i w_i |v_i><v_i|, which low-rank paths
+    read to avoid dense eigensolves at large dimension. dense() builds a
+    factored state's matrix on demand, and raises CapacityError above
+    CAP.tensor_dim.
     """
 
     parties: int
@@ -342,9 +342,7 @@ def embed_state_full(state: PureStateN | MixedStateN) -> TensorDM:
     N = mix.basis.n_particles
     weights = np.asarray([w for w, _ in mix.terms], dtype=float)
     vecs = np.stack([full_tensor_vector(st) for _, st in mix.terms], axis=1)
-    dim = M ** N
-    dense = (vecs * weights) @ vecs.conj().T if dim <= CAP.tensor_dim else None
-    return TensorDM(parties=N, local_dim=M, matrix=dense, factors=(weights, vecs))
+    return TensorDM(parties=N, local_dim=M, matrix=None, factors=(weights, vecs))
 
 
 def brute_force_reduce(state: PureStateN, k: int) -> ReducedDM:
@@ -404,10 +402,12 @@ def loads_rdm(text: str) -> ReducedDM:
     mat = np.stack(rows)
     n_particles = None
     if tag == PHYSICS:
-        # physics trace is C(N, k) with k <= N <= M; recover N by exact search
+        # physics trace is C(N, k) with k <= N <= M; N is the n whose C(n, k) is
+        # the integer nearest the trace, and rescale judges the match by
+        # unit_trace (a comparison, not round(), so an overflowed trace is no N)
         tr = float(np.trace(mat).real)
         n_particles = next((n for n in range(k, M + 1)
-                            if abs(tr - binom(n, k)) < 1e-6), None)
+                            if abs(tr - binom(n, k)) < 0.5), None)
     return ReducedDM(k=k, basis=basis, matrix=mat, normalization=tag,
                      n_particles=n_particles)
 

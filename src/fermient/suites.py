@@ -2,7 +2,8 @@
 
 Each suite takes one SuiteRun and returns its reports in a fixed order. Every
 report comes from `report.bound_report`, so it holds <=> slack >= -grace:
-  * bounds, ceilings and nonnegativity use the record's `bound_slack`;
+  * bounds, ceilings and nonnegativity use the record's `bound_slack`, and so
+    does the `equality` flag of the product-state remainders;
   * closed-form and route matches compare a difference with ROUTE_MATCH or
     CLOSED_FORM_MATCH at grace 0;
   * the E_f floor E_f >= ln 2 uses EF_FLOOR_GRACE.
@@ -105,7 +106,7 @@ def subadd(run: SuiteRun) -> list[BoundReport]:
         t = rdmcore.TensorDM(parties=2, local_dim=d, matrix=hermlin.kron(r1, r2))
         rep = entmeasures.subadd_remainder(t, tol=tol)
         rep.context["case"] = f"product-d{d}"
-        rep.context["equality"] = bool(abs(rep.slack) <= CLOSED_FORM_MATCH)
+        rep.context["equality"] = bool(abs(rep.slack) <= tol.bound_slack)
         out.append(rep)
     return out
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fermient import (PHYSICS, RankedBasis, cli, dumps_rdm, hermlin, load_rdm, load_state,
-                      loads_state, random_pure_state, reduce_pure, rescale)
+                      loads_rdm, loads_state, random_pure_state, reduce_pure, rescale)
 from fermient.errors import NumericalError
 from fermient.report import bound_report, fmt17
 
@@ -369,6 +369,30 @@ def test_physics_rdm_trace_is_judged_by_unit_trace(tmp_path, capsys):
     p.write_text(dumps_rdm(dataclasses.replace(r, matrix=r.matrix * (1 + 1e-7))))
     assert cli.main(["entropy", str(p)]) == 2
     assert "inconsistent with tag" in capsys.readouterr().err
+
+
+def test_physics_rdm_count_is_the_nearest_binomial(tmp_path, capsys):
+    # the trace C(10, 5) = 252 off by 2.0e-6 is within unit_trace * 252 =
+    # 2.5e-6; off by 5.0e-6 it still names N = 10, and unit_trace refuses it
+    r = rescale(reduce_pure(random_pure_state(RankedBasis(12, 10), seed=1), 5), PHYSICS)
+    p = tmp_path / "r.fermirdm"
+    text = dumps_rdm(dataclasses.replace(r, matrix=r.matrix * (1 + 8e-9)))
+    p.write_text(text)
+    assert cli.main(["entropy", str(p)]) == 0
+    assert loads_rdm(text).n_particles == 10
+    p.write_text(dumps_rdm(dataclasses.replace(r, matrix=r.matrix * (1 + 2e-8))))
+    assert cli.main(["entropy", str(p)]) == 2
+    assert "inconsistent with tag" in capsys.readouterr().err
+
+
+def test_physics_rdm_with_an_overflowing_trace_exits_2(tmp_path, capsys):
+    # two diagonal entries of 1e308 sum to inf, which is near no C(n, 1)
+    zeros = " 0 0" * 2 + "\n"
+    p = tmp_path / "inf.fermirdm"
+    p.write_text("fermirdm 4 1 physics\n1e308 0 0 0" + zeros + "0 0 1e308 0" + zeros
+                 + ("0 0" + " 0 0" * 3 + "\n") * 2)
+    assert cli.main(["entropy", str(p)]) == 2
+    assert "particle count unknown" in capsys.readouterr().err
 
 
 def test_jobs_is_a_verify_option_only(tmp_path, capsys):

@@ -238,12 +238,26 @@ def test_brute_force_capacity():
 def test_embed_state_full_matches_dense():
     st = random_pure_state(RankedBasis(4, 2), seed=6)
     t = embed_state_full(st)
-    assert t.matrix is not None
+    assert t.matrix is None
     np.testing.assert_allclose(t.dense(),
                                t.factors[1] @ np.diag(t.factors[0]) @ t.factors[1].conj().T,
                                atol=1e-14)
     np.testing.assert_allclose(tensor_ptrace(t, (0,)),
                                reduce_pure(st, 1).matrix, atol=1e-12)
+
+
+def test_embed_state_full_builds_no_dense_matrix():
+    # the 1296-dim dense matrix would take 26.9 MB; dense() builds it on demand
+    st = random_pure_state(RankedBasis(6, 4), seed=1)
+    tracemalloc.start()
+    try:
+        t = embed_state_full(st)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.matrix is None and peak <= 1e6
+    w, vecs = t.factors
+    assert t.dense().tobytes() == ((vecs * w) @ vecs.conj().T).tobytes()
 
 
 def test_random_two_party_dm_properties():

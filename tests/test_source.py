@@ -204,6 +204,26 @@ def test_only_suites_builds_kronecker_products():
     assert sites and all(site.startswith("suites.py:") for site in sites), sites
 
 
+def test_no_tensor_dm_is_built_with_both_representations():
+    # a TensorDM holds a dense matrix or factors, never both; dense() builds a
+    # factored one's matrix on demand, under the tensor_dim guard
+    def given(node):
+        return node is not None and not (isinstance(node, ast.Constant) and node.value is None)
+
+    def both(call):
+        kw = {k.arg: k.value for k in call.keywords}
+        matrix = call.args[2] if len(call.args) > 2 else kw.get("matrix")
+        factors = call.args[3] if len(call.args) > 3 else kw.get("factors")
+        return given(matrix) and given(factors)
+
+    calls = [(name, node) for name, tree in _trees().items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and "TensorDM" in (getattr(node.func, "attr", None),
+                                getattr(node.func, "id", None))]
+    assert calls
+    assert [f"{name}:{node.lineno}" for name, node in calls if both(node)] == []
+
+
 def test_one_descent_loop_retracts():
     # _descend runs every restart's lanes in lockstep; a second conjugate
     # gradient loop would need its own retraction. The one other QR is
