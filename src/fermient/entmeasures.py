@@ -426,25 +426,39 @@ def _pair_objective(wk: np.ndarray, wl: np.ndarray, thetas: np.ndarray,
     candidates' Grams come from one product with the stacked (P, Q, K, K^+)
     and their spectra from one batched eigvalsh.
     """
+    return _pair_values(wk, wl, _pair_coefs(thetas, phis), d1, d2)
+
+
+def _pair_coefs(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """(c^2, s^2, cs conj(u), cs u) per (theta, phi): rows of _pair_values' coef."""
+    c = np.cos(thetas)
+    s = np.sin(thetas)
+    cs_u = c * s * np.exp(1j * phis)
+    return np.stack([c * c, s * s, cs_u.conj(), cs_u], axis=1)
+
+
+# the coefficient rows of the fixed scan grid
+_COARSE_COEF = _pair_coefs(_COARSE_T, _COARSE_P)
+
+
+def _pair_values(wk: np.ndarray, wl: np.ndarray, coef: np.ndarray,
+                 d1: int, d2: int) -> np.ndarray:
+    """_pair_objective with the grid's coefficient rows given."""
     a = wk.reshape(d1, d2)
     b = wl.reshape(d1, d2)
     k = a @ b.conj().T
     basis = np.stack([a @ a.conj().T, b @ b.conj().T, k, k.conj().T])
-    c = np.cos(thetas)
-    s = np.sin(thetas)
-    cs_u = c * s * np.exp(1j * phis)
-    coef = np.stack([c * c, s * s, cs_u.conj(), cs_u], axis=1)
     top = (coef @ basis.reshape(4, d1 * d1)).reshape(-1, d1, d1)
     grams = np.concatenate([top, basis[0] + basis[1] - top])
     contribs = _spectrum_contribs(np.linalg.eigvalsh(grams))
-    half = len(c)
+    half = len(coef)
     return contribs[:half] + contribs[half:]
 
 
 def _best_pair_rotation(wk: np.ndarray, wl: np.ndarray, d1: int, d2: int):
     """Best (theta, phi, value) of the pair on the (theta, phi) grid, from one
     batched scan."""
-    vals = _pair_objective(wk, wl, _COARSE_T, _COARSE_P, d1, d2)
+    vals = _pair_values(wk, wl, _COARSE_COEF, d1, d2)
     i0 = int(np.argmin(vals))
     return float(_COARSE_T[i0]), float(_COARSE_P[i0]), float(vals[i0])
 

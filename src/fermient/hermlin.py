@@ -13,13 +13,17 @@ projectors, entropies, |<f|e>|^2), so a canonical basis, of the null space
 too, would be thrown away at `support`. Eigenpairs (eig_residual) and square
 roots (sqrt_square) are checked on every route, and a failed check raises
 NumericalError. `support` alone judges an eigenvalue non-finite or negative
-(errors), zero or kept, for roots, entropies and ensembles.
+(errors), zero or kept, for roots, entropies and ensembles. It cuts each
+Spectrum once per tolerance record and hands later calls the same cut, so
+psd_root's root and square check, vn_entropy and the remainder's second route
+share one cut of a marginal; a spectrum that fails the rule raises on every
+call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +37,8 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     vectors: np.ndarray | None = None
+    # support's cut: (tol, eigenvalues, vectors, result), read by support alone
+    _cut: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def as_hermitian(a: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
@@ -40,14 +46,17 @@ def as_hermitian(a: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    a = a.astype(complex, copy=True)
-    if not np.isfinite(a).all():
+    a = a.astype(complex, copy=False)
+    top = np.abs(a).max(initial=0.0)
+    # NaN and inf reach the max modulus; a finite matrix whose modulus
+    # overflows is told apart by the full check
+    if not math.isfinite(top) and not np.isfinite(a).all():
         raise ShapeError("matrix has non-finite entries")
-    scale = max(np.abs(a).max(initial=0.0), 1.0)
-    defect = np.abs(a - a.conj().T).max(initial=0.0)
-    if defect > tol.hermiticity * scale:
+    ah = a.conj().T
+    defect = np.abs(a - ah).max(initial=0.0)
+    if defect > tol.hermiticity * max(top, 1.0):
         raise ShapeError(f"matrix not Hermitian: defect {defect:.3e}")
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + ah)
 
 
 def _cluster_basis(v: np.ndarray, rel: float) -> np.ndarray:
@@ -107,7 +116,19 @@ def support(spec: Spectrum,
     """The one spectral support rule: non-finite eigenvalues raise ShapeError,
     those below -tol.psd_fail * max(||A||, 1) NotPSDError; keep the eigenvalues
     (and their vector columns, or None) above tol.support_cutoff * max(||A||, 1),
-    treating the rest as 0. Eigenvalues descend, so the support is a prefix."""
+    treating the rest as 0. Eigenvalues descend, so the support is a prefix.
+    The cut is made once per Spectrum and tolerance record, then reused."""
+    cut = spec._cut
+    if (cut is not None and cut[0] is tol and cut[1] is spec.eigenvalues
+            and cut[2] is spec.vectors):
+        return cut[3]
+    result = _cut_support(spec, tol)
+    spec._cut = (tol, spec.eigenvalues, spec.vectors, result)
+    return result
+
+
+def _cut_support(spec: Spectrum, tol: Tolerances) -> tuple[np.ndarray, np.ndarray | None]:
+    """support's rule, evaluated."""
     lam = spec.eigenvalues
     if not math.isfinite(lam.sum()):   # any NaN or inf makes the sum non-finite
         raise ShapeError("spectrum has non-finite eigenvalues")

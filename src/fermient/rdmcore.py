@@ -231,6 +231,12 @@ def rescale(r: ReducedDM, target: str, tol: Tolerances = TOL) -> ReducedDM:
         raise NormalizationError(f"unknown normalization tag {target!r}")
     if target == r.normalization:
         return ReducedDM(r.k, r.basis, r.matrix.copy(), r.normalization, r.n_particles)
+    if r.n_particles is None and r.normalization == PHYSICS:
+        with np.errstate(over="ignore"):      # an overflowed trace is named as inf
+            tr = float(np.trace(r.matrix).real)
+        raise NormalizationError(
+            f"particle count unknown: the physics-tagged trace {tr!r} is near no "
+            f"C(n, {r.k}) for {r.k} <= n <= {r.basis.n_modes}")
     if r.n_particles is None:
         raise NormalizationError(
             "particle count unknown; cannot rescale (load a physics-tagged file "
@@ -405,7 +411,8 @@ def loads_rdm(text: str) -> ReducedDM:
         # physics trace is C(N, k) with k <= N <= M; N is the n whose C(n, k) is
         # the integer nearest the trace, and rescale judges the match by
         # unit_trace (a comparison, not round(), so an overflowed trace is no N)
-        tr = float(np.trace(mat).real)
+        with np.errstate(over="ignore"):
+            tr = float(np.trace(mat).real)
         n_particles = next((n for n in range(k, M + 1)
                             if abs(tr - binom(n, k)) < 0.5), None)
     return ReducedDM(k=k, basis=basis, matrix=mat, normalization=tag,

@@ -61,11 +61,14 @@ def fmt17(x: float) -> str:
 
 
 def _json_scalar(v) -> str:
+    if isinstance(v, float):
+        return FMT17 % v if math.isfinite(v) else f'"{fmt17(v)}"'
+    # a string json.dumps would quote as it is (printable ASCII without " or \)
+    if (type(v) is str and v.isascii() and v.isprintable()
+            and '"' not in v and "\\" not in v):
+        return f'"{v}"'
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        s = fmt17(v)
-        return f'"{s}"' if s in ("NaN", "Infinity", "-Infinity") else s
     if isinstance(v, int):
         return str(v)
     if v is None:

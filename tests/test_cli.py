@@ -13,7 +13,7 @@ import pytest
 
 from fermient import (PHYSICS, RankedBasis, cli, dumps_rdm, hermlin, load_rdm, load_state,
                       loads_rdm, loads_state, random_pure_state, reduce_pure, rescale)
-from fermient.errors import NumericalError
+from fermient.errors import NormalizationError, NumericalError
 from fermient.report import bound_report, fmt17
 
 LN2 = math.log(2.0)
@@ -843,3 +843,25 @@ def test_mutual_slack_sweep_skips_more_particles_than_modes(capsys):
     assert cli.main(["sweep", "mutual-slack", "--M-range", "3", "--N", "4"]) == 0
     lines = _json_lines(capsys.readouterr().out)
     assert len(lines) == 1 and "meta" in lines[0]
+
+
+@pytest.mark.parametrize("diag, trace", [(["10", "0"], "10.0"), (["1e308", "1e308"], "inf")])
+def test_physics_rdm_near_no_count_names_its_trace(tmp_path, capsys, diag, trace):
+    # a physics-tagged file whose trace is near no C(n, 1), 1 <= n <= 4; the
+    # second sums 1e308 + 1e308, and numpy's overflow warning stays off stderr
+    diag = diag + ["0", "0"]
+    rows = [" ".join(f"{diag[i] if j == i else 0} 0" for j in range(4)) for i in range(4)]
+    p = tmp_path / "t.fermirdm"
+    p.write_text("fermirdm 4 1 physics\n" + "\n".join(rows) + "\n")
+    assert cli.main(["entropy", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert "particle count unknown" in err and f"trace {trace} " in err
+    assert "1 <= n <= 4" in err and "load a physics-tagged file" not in err
+
+
+def test_unit_rdm_without_a_count_keeps_the_rescale_hint():
+    r = reduce_pure(random_pure_state(RankedBasis(4, 2), seed=1), 1)
+    r = dataclasses.replace(r, n_particles=None)
+    with pytest.raises(NormalizationError, match="load a physics-tagged file"):
+        rescale(r, PHYSICS)

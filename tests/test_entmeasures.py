@@ -1246,3 +1246,50 @@ def test_vn_entropy_refuses_a_non_finite_trace():
 def test_entropy_of_probs_refuses_non_finite_input(p):
     with pytest.raises(ShapeError):
         entropy_of_probs(np.array(p))
+
+
+def _cuts_per_spectrum(monkeypatch, call):
+    made, cut = [], []
+    real_eig, real_cut = hermlin.eig_herm, hermlin._cut_support
+
+    def eig(*args, **kwargs):
+        spec = real_eig(*args, **kwargs)
+        made.append(spec)
+        return spec
+
+    monkeypatch.setattr(hermlin, "eig_herm", eig)
+    monkeypatch.setattr(entmeasures, "eig_herm", eig)
+    monkeypatch.setattr(hermlin, "_cut_support",
+                        lambda spec, tol: cut.append(spec) or real_cut(spec, tol))
+    call()
+    return sorted(map(id, made)), sorted(map(id, cut))
+
+
+def test_subadd_remainder_cuts_each_spectrum_once(monkeypatch):
+    # rho's spectrum and each marginal's: psd_root's root and square check,
+    # vn_entropy and the second route share one cut
+    t = random_two_party_dm(3, rank=3, seed=21)
+    made, cut = _cuts_per_spectrum(monkeypatch, lambda: subadd_remainder(t))
+    assert len(made) == 3 and cut == made
+
+
+def test_mutual_info_bounds_cuts_each_spectrum_once(monkeypatch):
+    state = random_pure_state(RankedBasis(6, 3), seed=7)
+    made, cut = _cuts_per_spectrum(monkeypatch, lambda: mutual_info_bounds(state))
+    assert len(made) == 2 and cut == made
+
+
+def test_pair_scan_grid_is_the_objectives_own_table():
+    coef = entmeasures._COARSE_COEF
+    want = entmeasures._pair_coefs(entmeasures._COARSE_T, entmeasures._COARSE_P)
+    assert coef.shape == (31, 4) and coef.tobytes() == want.tobytes()
+    rng = np.random.default_rng(4)
+    for d in (2, 3, 4):
+        wk, wl = (rng.normal(size=d * d) + 1j * rng.normal(size=d * d) for _ in range(2))
+        vals = entmeasures._pair_objective(wk, wl, entmeasures._COARSE_T,
+                                           entmeasures._COARSE_P, d, d)
+        i0 = int(np.argmin(vals))
+        assert entmeasures._best_pair_rotation(wk, wl, d, d) == (
+            float(entmeasures._COARSE_T[i0]), float(entmeasures._COARSE_P[i0]),
+            float(vals[i0]))
+

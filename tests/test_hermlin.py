@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -283,3 +285,95 @@ def test_subadd_reports_ignore_the_null_space_basis(monkeypatch):
 def test_support_refuses_non_finite_eigenvalues(lam):
     with pytest.raises(ShapeError):
         support(Spectrum(np.array(lam)))
+
+
+def _as_hermitian_formula(a, tol=TOL):
+    # the rule as_hermitian implements, written out step by step
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
+    a = a.astype(complex, copy=True)
+    if not np.isfinite(a).all():
+        raise ShapeError("matrix has non-finite entries")
+    scale = max(np.abs(a).max(initial=0.0), 1.0)
+    defect = np.abs(a - a.conj().T).max(initial=0.0)
+    if defect > tol.hermiticity * scale:
+        raise ShapeError(f"matrix not Hermitian: defect {defect:.3e}")
+    return 0.5 * (a + a.conj().T)
+
+
+def _outcome(fn, a):
+    try:
+        out = fn(a)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+def _hermitian_inputs():
+    rng = np.random.default_rng(11)
+    g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    herm = g + g.conj().T
+    signed = np.array([[-0.0, complex(-0.0, -0.0)], [complex(-0.0, 0.0), -0.0]])
+    near = herm.copy()
+    near[0, 1] += 1e-15
+    huge = np.array([[0.0, 1e308 + 1e308j], [1e308 - 1e308j, 0.0]])
+    cases = {
+        "random": herm, "random-real": herm.real + herm.real.T,
+        "random-f-order": np.asfortranarray(herm), "strided": herm[::2, ::2],
+        "degenerate": 2.0 * np.eye(5), "rank-one": np.outer(g[0], g[0].conj()),
+        "signed-zeros": signed, "int": np.array([[1, 2], [2, 1]]),
+        "1x1": np.array([[3.5]]), "0x0": np.zeros((0, 0)),
+        "near-hermitian": near, "modulus-overflow": huge,
+    }
+    for name, bad in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf),
+                      ("nan-imag", 1j * np.nan), ("inf-imag", 1j * np.inf)):
+        a = herm.copy()
+        a[2, 3] = bad
+        cases[name] = a
+    nonherm = herm.copy()
+    nonherm[0, 1] += 1e-3
+    cases.update({"non-hermitian": nonherm, "non-square": np.ones((2, 3)),
+                  "vector": np.ones(3),
+                  # non-finite is judged before non-Hermitian
+                  "nan-and-asymmetric": np.where(np.eye(6) > 0, np.nan, g)})
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_hermitian_inputs()))
+def test_as_hermitian_is_bytewise_its_formula(name):
+    a = _hermitian_inputs()[name]
+    before = (a.dtype, a.shape, a.tobytes())
+    with np.errstate(all="ignore"):
+        got = _outcome(as_hermitian, a)
+        want = _outcome(_as_hermitian_formula, a)
+        if not isinstance(got[0], type):     # a result: never the input itself
+            assert not np.shares_memory(as_hermitian(a), a)
+    assert got == want
+    assert (a.dtype, a.shape, a.tobytes()) == before
+
+
+def test_support_cuts_a_spectrum_once_per_tolerance_record(monkeypatch):
+    calls = []
+    real = hermlin._cut_support
+    monkeypatch.setattr(hermlin, "_cut_support",
+                        lambda spec, tol: calls.append(tol) or real(spec, tol))
+    spec = eig_herm(_random_hermitian(5, seed=2, psd=True))
+    first = support(spec)
+    again = support(spec)
+    assert calls == [TOL] and all(x is y for x, y in zip(first, again))
+    other = dataclasses.replace(TOL)                # equal, but another record
+    support(spec, other)
+    assert len(calls) == 2
+    spec.eigenvalues = spec.eigenvalues.copy()     # a new array is cut anew
+    support(spec, other)
+    assert len(calls) == 3
+    assert "_cut" not in repr(spec)
+
+
+@pytest.mark.parametrize("lam", [[np.nan, 1.0], [1.0, -0.5]])
+def test_support_refuses_a_bad_spectrum_on_every_call(lam):
+    spec = Spectrum(np.array(lam))
+    for _ in range(2):
+        with pytest.raises((ShapeError, NotPSDError)):
+            support(spec)
