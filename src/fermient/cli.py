@@ -49,7 +49,8 @@ from .errors import CapacityError, FermientError, NumericalError
 from .fockbasis import RankedBasis, binom
 from .hermlin import Spectrum, eig_herm, support
 from .rdmcore import (PHYSICS, UNIT, ReducedDM, dumps_rdm, embed_wedge_to_tensor,
-                      loads_rdm, ptrace_rdm, reduce_mixed, rescale)
+                      loads_rdm, ptrace_rdm, reduce_mixed, reduce_pure,
+                      rescale)
 from .report import (REPORT_COLUMNS, fmt17, json_value, read_text, records,
                      report_row, write_text)
 from .statekit import (YangParams, chi_pair_vector, convex_mixture, dumps_state,
@@ -197,7 +198,7 @@ def _unit_rdm(path: str, k: int | None,
         st = loads_state(text)          # validated even when k is None
         if k is None:
             return None, None
-        r = reduce_mixed(st, k)
+        r = reduce_pure(st, k)
     elif head != "fermirdm":
         raise FermientError(f"{path}: empty file" if head is None
                             else f"{path}: unknown header {head!r}")

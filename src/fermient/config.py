@@ -1,14 +1,18 @@
 """Centralized numerical tolerances and capacity guards.
 
-Every module pulls its settable thresholds from here, so a run can be
-reproduced from the single record embedded in CLI outputs. Each field is read,
-and decides something no other field decides: `unit_trace` judges every trace
-against the normalization its matrix claims (a physics fermirdm file's too,
-whose N `loads_rdm` takes as the n with C(n, k) nearest the trace), and
-`tensor_dim` bounds every dense matrix, the dense subadditivity input
-included, and (by bytes) every reduction's gather table. Every tolerance is a
-float, as `--tol` parses it.
-Fixed limits that no option changes live beside their code:
+Tolerances are the run's record: `--tol` may set any of them, and the
+resolved record is embedded in every output header, so a run can be
+reproduced from it. Each field is read, and decides something no other field
+decides: `unit_trace` judges every trace against the normalization its matrix
+claims (a physics fermirdm file's too, whose N `loads_rdm` takes as the n
+with C(n, k) nearest the trace). Every tolerance is a float, as `--tol`
+parses it.
+Capacities are fixed limits that no option or parameter sets: each guard
+reads them as its module's `CAP`, and they are not embedded in outputs.
+`tensor_dim` bounds every dense matrix (the dense subadditivity input,
+`wedge_density` and `random_two_party_dm` included) and, by bytes, every
+reduction's gather table.
+The other fixed limits live beside their code:
   * `suites`' ROUTE_MATCH, CLOSED_FORM_MATCH and EF_FLOOR_GRACE;
   * the descent constants of `entmeasures` (_DESCENT_STEPS, _ARMIJO,
     _GRAD_FLOOR, _STEP_FLOOR, _FLOOR_GAP, _LOG_CLIP; _FLOOR_GAP also decides

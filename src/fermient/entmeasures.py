@@ -35,7 +35,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .config import CAP, TOL, Capacities, Tolerances
+from .config import CAP, TOL, Tolerances
 from .errors import (CapacityError, NormalizationError, RangeError,
                      ShapeError)
 from .fockbasis import RankedBasis
@@ -173,7 +173,7 @@ def subadd_remainder(t: TensorDM, tol: Tolerances = TOL) -> BoundReport:
     """
     if t.parties != 2:
         raise ShapeError("subadd_remainder needs a two-party density matrix")
-    lhs, rhs, s12, (s1, s2), tr, tr_alt = _remainder_terms(t, [(0,), (1,)], tol, CAP)
+    lhs, rhs, s12, (s1, s2), tr, tr_alt = _remainder_terms(t, [(0,), (1,)], tol)
     ctx = {"S12": s12, "S1": s1, "S2": s2, "trace_form": tr,
            "trace_form_alt": tr_alt, "local_dim": t.local_dim}
     return bound_report("subadd/remainder", lhs, rhs, "<=", tol, **ctx)
@@ -199,8 +199,8 @@ def _apply_blockwise(vecs: np.ndarray, mats) -> np.ndarray:
     return arr.reshape(prefix, -1)
 
 
-def _remainder_terms(t: TensorDM, blocks: list[tuple[int, ...]], tol: Tolerances,
-                     cap: Capacities) -> tuple:
+def _remainder_terms(t: TensorDM, blocks: list[tuple[int, ...]],
+                     tol: Tolerances) -> tuple:
     """lhs, rhs, S(rho), [S(rho_b)], the trace form and its second route, all
     read from rho's support pairs (lambda_a, e_a):
       * rho_b = sum_a lambda_a Tr_rest |e_a><e_a|, its spectrum and root from
@@ -211,7 +211,7 @@ def _remainder_terms(t: TensorDM, blocks: list[tuple[int, ...]], tol: Tolerances
         |<x_b f_{i_b}|e_a>|^2.
     Factored inputs take the pairs from their Gram spectrum, so large fermionic
     tensors never hit the dense eigensolver; dense ones are guarded by
-    cap.tensor_dim. No term depends on the basis inside a degenerate cluster or
+    CAP.tensor_dim. No term depends on the basis inside a degenerate cluster or
     on a vector's phase, so every solve here takes LAPACK's vectors as they
     come (canonical=False)."""
     d = t.local_dim
@@ -221,9 +221,9 @@ def _remainder_terms(t: TensorDM, blocks: list[tuple[int, ...]], tol: Tolerances
         lam, gvecs = support(spec, tol)
         basis_vecs = ((vecs * np.sqrt(w)) @ gvecs) / np.sqrt(lam)
     else:
-        if t.dim > cap.tensor_dim:
+        if t.dim > CAP.tensor_dim:
             raise CapacityError(
-                f"dense subadditivity remainder limited to dim {cap.tensor_dim}, "
+                f"dense subadditivity remainder limited to dim {CAP.tensor_dim}, "
                 f"got {t.dim}")
         spec = eig_herm(t.dense(), vectors=True, tol=tol, canonical=False)
         lam, basis_vecs = support(spec, tol)
@@ -244,15 +244,15 @@ def _remainder_terms(t: TensorDM, blocks: list[tuple[int, ...]], tol: Tolerances
     return lhs, rhs, s_full, s_blocks, tr, tr_alt
 
 
-def subadd_remainder_n(t: TensorDM, grouping=None, tol: Tolerances = TOL,
-                       cap: Capacities = CAP) -> BoundReport:
+def subadd_remainder_n(t: TensorDM, grouping=None,
+                       tol: Tolerances = TOL) -> BoundReport:
     """Grouped n-party version: S(rho) - sum_b S(rho_b) <= 2 ln Tr[sqrt(rho) x_b sqrt(rho_b)].
 
     Blocks must be contiguous runs of parties. Every term, on the factored and
     the dense route, is read from rho's support pairs (see _remainder_terms).
     """
     blocks = _contiguous_blocks(t.parties, grouping)
-    lhs, rhs, s_full, s_blocks, tr, tr_alt = _remainder_terms(t, blocks, tol, cap)
+    lhs, rhs, s_full, s_blocks, tr, tr_alt = _remainder_terms(t, blocks, tol)
     ctx = {"S_full": s_full, "S_blocks": s_blocks, "trace_form": tr,
            "trace_form_alt": tr_alt, "blocks": [list(b) for b in blocks]}
     return bound_report("subadd/remainder-n", lhs, rhs, "<=", tol, **ctx)
@@ -295,15 +295,15 @@ def elem_sym_det(n: int, power_sums) -> float:
     return float(np.linalg.det(mat)) / math.factorial(n)
 
 
-def elem_sym_direct(eigenvalues, n: int, cap: Capacities = CAP) -> float:
+def elem_sym_direct(eigenvalues, n: int) -> float:
     """Brute-force subset sum: sum over n-subsets of eigenvalue products.
     Non-finite eigenvalues raise ShapeError."""
     lam = [float(x) for x in np.asarray(eigenvalues).ravel()]
     if not math.isfinite(sum(lam)):
         raise ShapeError("eigenvalues have non-finite entries")
     terms = math.comb(len(lam), n)
-    if terms > cap.elem_terms:
-        raise CapacityError(f"{terms} subset terms exceed capacity {cap.elem_terms}")
+    if terms > CAP.elem_terms:
+        raise CapacityError(f"{terms} subset terms exceed capacity {CAP.elem_terms}")
     total = 0.0
     for sub in combinations(lam, n):
         prod = 1.0
@@ -313,12 +313,12 @@ def elem_sym_direct(eigenvalues, n: int, cap: Capacities = CAP) -> float:
     return total
 
 
-def nbody_elem_bound(state: PureStateN | MixedStateN, tol: Tolerances = TOL,
-                     cap: Capacities = CAP) -> BoundReport:
+def nbody_elem_bound(state: PureStateN | MixedStateN,
+                     tol: Tolerances = TOL) -> BoundReport:
     """N S(rho_1) - S(rho_1..N) >= -ln e_N(rho_1) with e_N from the 1-RDM spectrum.
 
     The subset-sum cross-check e_N_direct is skipped (null, with a
-    cross_check note) when its C(M, N) terms exceed cap.elem_terms.
+    cross_check note) when its C(M, N) terms exceed CAP.elem_terms.
     """
     basis = state.basis
     N = basis.n_particles
@@ -332,7 +332,7 @@ def nbody_elem_bound(state: PureStateN | MixedStateN, tol: Tolerances = TOL,
     ctx = {"M": basis.n_modes, "N": N, "S1": s1, "S_full": s_full,
            "e_N": e_n, "e_N_direct": None}
     try:
-        ctx["e_N_direct"] = elem_sym_direct(lam, N, cap)
+        ctx["e_N_direct"] = elem_sym_direct(lam, N)
     except CapacityError:
         ctx["cross_check"] = "skipped (capacity)"
     return bound_report("n-body/elem-sym", lhs, rhs, ">=", tol, **ctx)
@@ -416,19 +416,6 @@ def _member_contribs(rows: np.ndarray, d1: int, d2: int) -> np.ndarray:
     return _spectrum_contribs(np.linalg.eigvalsh(mats @ mats.conj().swapaxes(-1, -2)))
 
 
-def _pair_objective(wk: np.ndarray, wl: np.ndarray, thetas: np.ndarray,
-                    phis: np.ndarray, d1: int, d2: int) -> np.ndarray:
-    """Joint contribution of the rotated pair for equal-length (theta, phi)
-    arrays: rows become (c wk + u s wl, -conj(u) s wk + c wl), u = e^{i phi}.
-
-    Their Grams are c^2 P + s^2 Q + cs H and P + Q minus that, with
-    P = A A^+, Q = B B^+ and H = conj(u) K + u K^+ for K = A B^+, so all
-    candidates' Grams come from one product with the stacked (P, Q, K, K^+)
-    and their spectra from one batched eigvalsh.
-    """
-    return _pair_values(wk, wl, _pair_coefs(thetas, phis), d1, d2)
-
-
 def _pair_coefs(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """(c^2, s^2, cs conj(u), cs u) per (theta, phi): rows of _pair_values' coef."""
     c = np.cos(thetas)
@@ -443,7 +430,15 @@ _COARSE_COEF = _pair_coefs(_COARSE_T, _COARSE_P)
 
 def _pair_values(wk: np.ndarray, wl: np.ndarray, coef: np.ndarray,
                  d1: int, d2: int) -> np.ndarray:
-    """_pair_objective with the grid's coefficient rows given."""
+    """Joint contribution of the rotated pair for each (theta, phi) row of coef
+    (`_pair_coefs`): rows become (c wk + u s wl, -conj(u) s wk + c wl),
+    u = e^{i phi}.
+
+    Their Grams are c^2 P + s^2 Q + cs H and P + Q minus that, with
+    P = A A^+, Q = B B^+ and H = conj(u) K + u K^+ for K = A B^+, so all
+    candidates' Grams come from one product with the stacked (P, Q, K, K^+)
+    and their spectra from one batched eigvalsh.
+    """
     a = wk.reshape(d1, d2)
     b = wl.reshape(d1, d2)
     k = a @ b.conj().T
@@ -611,7 +606,7 @@ def _ef_floor(t: TensorDM, tol: Tolerances) -> float:
 
 
 def ef_optimize(t: TensorDM, opts: EfOptions | None = None,
-                tol: Tolerances = TOL, cap: Capacities = CAP) -> EfResult:
+                tol: Tolerances = TOL) -> EfResult:
     """Upper bound on the entanglement of formation of a two-party state.
 
     Each restart descends over the ensemble isometry (`_descend`), then
@@ -636,8 +631,8 @@ def ef_optimize(t: TensorDM, opts: EfOptions | None = None,
     rho = _unit_trace(t.dense(), tol)
     mu, phi = support(eig_herm(rho, vectors=True, tol=tol), tol)
     r = int(mu.size)
-    if r > cap.ef_rank:
-        raise CapacityError(f"support rank {r} exceeds capacity {cap.ef_rank}")
+    if r > CAP.ef_rank:
+        raise CapacityError(f"support rank {r} exceeds capacity {CAP.ef_rank}")
     x = np.sqrt(mu)[:, None] * phi.T          # (r, d*d); rows span the support
     size = opts.ensemble_size
     if size == "square":

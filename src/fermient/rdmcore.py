@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import CAP, TOL, Capacities, Tolerances
+from .config import CAP, TOL, Tolerances
 from .errors import (CapacityError, NormalizationError, RangeError,
                      ShapeError)
 from .fockbasis import RankedBasis, binom, colex_masks
@@ -271,13 +271,13 @@ def _antisym_table(M: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return pos, sgn
 
 
-def embed_wedge_to_tensor(r: ReducedDM, cap: Capacities = CAP) -> TensorDM:
+def embed_wedge_to_tensor(r: ReducedDM) -> TensorDM:
     """Embed a 2-particle wedge RDM into C^M x C^M via {i<j} -> (|ij>-|ji>)/sqrt(2)."""
     if r.k != 2:
         raise ShapeError(f"embedding is defined for k=2, got k={r.k}")
     M = r.basis.n_modes
-    if M * M > cap.tensor_dim:
-        raise CapacityError(f"tensor dimension {M * M} exceeds capacity {cap.tensor_dim}")
+    if M * M > CAP.tensor_dim:
+        raise CapacityError(f"tensor dimension {M * M} exceeds capacity {CAP.tensor_dim}")
     pos, sgn = _antisym_table(M, 2)
     c = 1.0 / math.sqrt(2.0)
     T = np.zeros((M * M, M * M), dtype=complex)
@@ -304,8 +304,13 @@ def project_antisymmetric(t: TensorDM) -> TensorDM:
 
 
 def random_two_party_dm(local_dim: int, rank: int, seed: int) -> TensorDM:
-    """Seeded random two-party density matrix: normalized Ginibre of given rank."""
-    rho = ginibre_density(seeded_rng(seed), local_dim * local_dim, rank)
+    """Seeded random two-party density matrix: normalized Ginibre of given rank.
+    A dimension local_dim**2 above CAP.tensor_dim raises CapacityError before
+    anything is allocated."""
+    dim = local_dim * local_dim
+    if dim > CAP.tensor_dim:
+        raise CapacityError(f"tensor dimension {dim} exceeds capacity {CAP.tensor_dim}")
+    rho = ginibre_density(seeded_rng(seed), dim, rank)
     return TensorDM(parties=2, local_dim=local_dim, matrix=rho)
 
 

@@ -149,8 +149,13 @@ def as_mixture(state: PureStateN | MixedStateN) -> MixedStateN:
 
 
 def wedge_density(state: PureStateN | MixedStateN) -> np.ndarray:
-    """Dense density matrix on the ranked antisymmetric basis."""
+    """Dense density matrix on the ranked antisymmetric basis. A basis
+    dimension above CAP.tensor_dim, the bound on every dense matrix, raises
+    CapacityError before anything is allocated."""
     mix = as_mixture(state)
+    if mix.basis.dim > CAP.tensor_dim:
+        raise CapacityError(
+            f"density dimension {mix.basis.dim} exceeds capacity {CAP.tensor_dim}")
     rho = np.zeros((mix.basis.dim, mix.basis.dim), dtype=complex)
     for w, st in mix.terms:
         rho += w * np.outer(st.amplitudes, st.amplitudes.conj())

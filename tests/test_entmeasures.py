@@ -277,11 +277,11 @@ def test_subadd_n_grouping():
         subadd_remainder_n(t, grouping=[(0,), (1,)])
 
 
-def test_subadd_n_dense_capacity():
+def test_subadd_n_dense_capacity(monkeypatch):
     t = random_two_party_dm(3, rank=2, seed=3)
-    small = dataclasses.replace(CAP, tensor_dim=4)
+    monkeypatch.setattr(entmeasures, "CAP", dataclasses.replace(CAP, tensor_dim=4))
     with pytest.raises(CapacityError):
-        subadd_remainder_n(t, cap=small)
+        subadd_remainder_n(t)
 
 
 def _two_party_inputs(entries):
@@ -507,7 +507,7 @@ def test_ef_ensemble_size_takes_rank_square_or_an_int(size):
         ef_optimize(t, EfOptions(ensemble_size=size, restarts=1, max_iters=1))
 
 
-def test_ef_input_validation():
+def test_ef_input_validation(monkeypatch):
     three = embed_state_full(slater_state(RankedBasis(4, 3), (0, 1, 2)))
     with pytest.raises(ShapeError):
         ef_optimize(three)
@@ -515,9 +515,9 @@ def test_ef_input_validation():
     bad = TensorDM(parties=2, local_dim=2, matrix=2.0 * t.dense())
     with pytest.raises(NormalizationError):
         ef_optimize(bad)
-    small = dataclasses.replace(CAP, ef_rank=1)
+    monkeypatch.setattr(entmeasures, "CAP", dataclasses.replace(CAP, ef_rank=1))
     with pytest.raises(CapacityError):
-        ef_optimize(t, cap=small)
+        ef_optimize(t)
 
 
 def test_ef_chi_state_matches_closed_form():
@@ -552,11 +552,11 @@ def _kernel_pairs():
 
 
 def test_pair_objective_matches_svd_of_rotated_rows():
-    from fermient.entmeasures import _pair_objective
+    from fermient.entmeasures import _pair_coefs, _pair_values
     thetas = np.array([0.0, 0.3, 1.1, 2.0, math.pi / 2])
     phis = np.array([0.7, 0.0, 2.5, 4.0, 1.3])
     for d, wk, wl in _kernel_pairs():
-        got = _pair_objective(wk, wl, thetas, phis, d, d)
+        got = _pair_values(wk, wl, _pair_coefs(thetas, phis), d, d)
         for th, ph, val in zip(thetas, phis, got):
             c = math.cos(th)
             u_s = complex(math.cos(ph), math.sin(ph)) * math.sin(th)
@@ -567,24 +567,25 @@ def test_pair_objective_matches_svd_of_rotated_rows():
 
 
 def test_pair_objective_has_period_half_pi_in_theta():
-    from fermient.entmeasures import _pair_objective
+    from fermient.entmeasures import _pair_coefs, _pair_values
     thetas = np.linspace(0.0, math.pi / 2, 9)
     phis = np.linspace(0.1, 3.0, 9)
     for d, wk, wl in _kernel_pairs():
-        a = _pair_objective(wk, wl, thetas, phis, d, d)
-        b = _pair_objective(wk, wl, thetas + math.pi / 2, phis, d, d)
+        a = _pair_values(wk, wl, _pair_coefs(thetas, phis), d, d)
+        b = _pair_values(wk, wl, _pair_coefs(thetas + math.pi / 2, phis), d, d)
         assert np.abs(a - b).max() <= 1e-12, d
 
 
 def test_best_pair_rotation_reevaluates_below_coarse_grid():
     from fermient.entmeasures import (_ANGLES, _PHASES, _best_pair_rotation,
-                                      _pair_objective)
+                                      _pair_coefs, _pair_values)
     tt, pp = np.meshgrid(_ANGLES, _PHASES, indexing="ij")
     for d, wk, wl in _kernel_pairs():
-        coarse = _pair_objective(wk, wl, tt.ravel(), pp.ravel(), d, d).min()
+        coarse = _pair_values(wk, wl, _pair_coefs(tt.ravel(), pp.ravel()), d, d).min()
         assert _best_pair_rotation(wk, wl, d, d)[2] == coarse
         theta, phi, val = _best_pair_rotation(wk, wl, d, d)
-        again = _pair_objective(wk, wl, np.array([theta]), np.array([phi]), d, d)
+        again = _pair_values(wk, wl, _pair_coefs(np.array([theta]), np.array([phi])),
+                             d, d)
         assert abs(again[0] - val) <= 1e-12
         assert val <= coarse
 
@@ -593,7 +594,7 @@ def test_best_pair_rotation_is_the_argmin_of_the_full_grid():
     # theta = 0 is scored once, as (0, 0), first; argmin over the full
     # _ANGLES x _PHASES grid must still give the same (theta, phi, value)
     from fermient.entmeasures import (_ANGLES, _PHASES, _best_pair_rotation,
-                                      _pair_objective)
+                                      _pair_coefs, _pair_values)
     tt, pp = np.meshgrid(_ANGLES, _PHASES, indexing="ij")
     tt, pp = tt.ravel(), pp.ravel()
     rng = np.random.default_rng(21)
@@ -613,7 +614,7 @@ def test_best_pair_rotation_is_the_argmin_of_the_full_grid():
         pairs.append((d, 0.6 * np.outer(a, c).ravel(), 0.8 * np.outer(b, e).ravel()))
     planted = 0
     for d, wk, wl in pairs:
-        full = _pair_objective(wk, wl, tt, pp, d, d)
+        full = _pair_values(wk, wl, _pair_coefs(tt, pp), d, d)
         i = int(np.argmin(full))
         want = (float(tt[i]), float(pp[i]), float(full[i]))
         assert _best_pair_rotation(wk, wl, d, d) == want, d
@@ -1020,11 +1021,13 @@ def test_min_s2_search_reaches_the_determinant_at_larger_shapes(M, N, seed):
     assert abs(res.gap) <= 1e-8
 
 
-def test_nbody_elem_cross_check_skipped_past_capacity():
+def test_nbody_elem_cross_check_skipped_past_capacity(monkeypatch):
     st = random_pure_state(RankedBasis(8, 4), seed=5)
     terms = math.comb(8, 4)
-    at = nbody_elem_bound(st, cap=dataclasses.replace(CAP, elem_terms=terms))
-    past = nbody_elem_bound(st, cap=dataclasses.replace(CAP, elem_terms=terms - 1))
+    monkeypatch.setattr(entmeasures, "CAP", dataclasses.replace(CAP, elem_terms=terms))
+    at = nbody_elem_bound(st)
+    monkeypatch.setattr(entmeasures, "CAP", dataclasses.replace(CAP, elem_terms=terms - 1))
+    past = nbody_elem_bound(st)
     assert at.context["e_N_direct"] == pytest.approx(at.context["e_N"], abs=1e-14)
     assert "cross_check" not in at.context
     assert past.context["e_N_direct"] is None
@@ -1286,8 +1289,7 @@ def test_pair_scan_grid_is_the_objectives_own_table():
     rng = np.random.default_rng(4)
     for d in (2, 3, 4):
         wk, wl = (rng.normal(size=d * d) + 1j * rng.normal(size=d * d) for _ in range(2))
-        vals = entmeasures._pair_objective(wk, wl, entmeasures._COARSE_T,
-                                           entmeasures._COARSE_P, d, d)
+        vals = entmeasures._pair_values(wk, wl, want, d, d)
         i0 = int(np.argmin(vals))
         assert entmeasures._best_pair_rotation(wk, wl, d, d) == (
             float(entmeasures._COARSE_T[i0]), float(entmeasures._COARSE_P[i0]),

@@ -165,13 +165,16 @@ def test_embed_preserves_spectrum_and_marginals():
     np.testing.assert_allclose(tensor_ptrace(t, (1,)), r1, atol=1e-12)
 
 
-def test_embed_requires_pairs_and_capacity():
+def test_embed_requires_pairs_and_capacity(monkeypatch):
+    from fermient import rdmcore
+
     st = slater_state(RankedBasis(4, 3), (0, 1, 2))
     with pytest.raises(ShapeError):
         embed_wedge_to_tensor(reduce_pure(st, 1))
-    small = dataclasses.replace(CAP, tensor_dim=8)
+    r2 = reduce_pure(st, 2)
+    monkeypatch.setattr(rdmcore, "CAP", dataclasses.replace(CAP, tensor_dim=8))
     with pytest.raises(CapacityError):
-        embed_wedge_to_tensor(reduce_pure(st, 2), cap=small)
+        embed_wedge_to_tensor(r2)
 
 
 def test_antisymmetric_projection_weight():
@@ -270,6 +273,16 @@ def test_random_two_party_dm_properties():
     assert (lam > 1e-10).sum() == 2
     same = random_two_party_dm(local_dim=3, rank=2, seed=11)
     assert same.dense().tobytes() == rho.tobytes()
+
+
+def test_random_two_party_dm_refuses_a_dimension_above_tensor_dim(monkeypatch):
+    # local_dim 3 gives a 9 x 9 matrix against a bound of 8
+    from fermient import rdmcore
+
+    monkeypatch.setattr(rdmcore, "CAP", dataclasses.replace(CAP, tensor_dim=8))
+    with pytest.raises(CapacityError, match="tensor dimension 9"):
+        random_two_party_dm(3, 1, 0)
+    assert random_two_party_dm(2, 1, 0).dense().shape == (4, 4)
 
 
 def test_tensor_ptrace_validation():

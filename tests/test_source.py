@@ -252,3 +252,20 @@ def test_no_function_rebinds_an_imported_name():
                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
                   and node.id in imported}
     assert sorted(sites) == []
+
+
+def test_capacities_are_read_only_as_the_module_cap():
+    # capacities are fixed limits: no function takes a record to override them,
+    # and every guard reads its own module's CAP
+    fields = {f.name for f in dataclasses.fields(Capacities)}
+    params = [f"{name}:{fn.name}:{a.arg}" for name, tree in _trees().items()
+              for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.Lambda))
+              for a in (fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs)
+              if a.arg == "cap" or (a.annotation is not None
+                                    and "Capacities" in ast.unparse(a.annotation))]
+    reads = [f"{name}:{node.lineno} {ast.unparse(node)}" for name, tree in _trees().items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+             and node.attr in fields
+             and not (isinstance(node.value, ast.Name) and node.value.id == "CAP")]
+    assert params == [] and reads == []

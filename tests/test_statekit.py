@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -124,6 +125,14 @@ def test_wedge_density():
     # pure path: rank one projector
     rho_pure = wedge_density(s1)
     np.testing.assert_allclose(rho_pure @ rho_pure, rho_pure, atol=1e-15)
+
+
+def test_wedge_density_refuses_a_dimension_above_tensor_dim(monkeypatch):
+    # a (5, 2) state has a 10-dim basis against a bound of 8
+    monkeypatch.setattr(statekit, "CAP", dataclasses.replace(statekit.CAP, tensor_dim=8))
+    with pytest.raises(CapacityError, match="density dimension 10"):
+        wedge_density(random_pure_state(RankedBasis(5, 2), seed=1))
+    assert wedge_density(slater_state(RankedBasis(4, 2), (0, 1))).shape == (6, 6)
 
 
 def test_as_mixture_idempotent():
