@@ -1,15 +1,16 @@
 """Command-line harness: state construction, reduction, sweeps, and `verify`,
 which runs the bound suites of `suites` listed in _SUITES.
 
-One parser serves the process; `main` resolves --tol once and hands the
-record to the command. Each call (`rdm`, `entropy`, `yang`, and each state
-kind, verify suite and sweep quantity) is a parser of its own that takes only
-the options its code reads, listed in _STATE_KINDS, _VERIFY_SUITES and
-_SWEEP_QUANTITIES; every call takes --tol, --out and --stamp, and --format
-where it writes a table (json, csv; `verify` also text). The one exception is
-`verify yang`, which keeps --random and --seed unread so that one command
-line runs every bound suite. An option a call does not take exits 2 with
-that call's usage.
+One parser serves the process, and the parser of each command and leaf in it
+is built the first time a command line selects it; `main` resolves --tol
+once and hands the record to the command. Each call (`rdm`, `entropy`,
+`yang`, and each state kind, verify suite and sweep quantity) is a parser of
+its own that takes only the options its code reads, listed in _STATE_KINDS,
+_VERIFY_SUITES and _SWEEP_QUANTITIES; every call takes --tol, --out and
+--stamp, and --format where it writes a table (json, csv; `verify` also
+text). The one exception is `verify yang`, which keeps --random and --seed
+unread so that one command line runs every bound suite. An option a call does
+not take exits 2 with that call's usage.
 
 Output contract:
   * every run embeds its resolved configuration (and tolerance set) in the
@@ -51,7 +52,7 @@ from .hermlin import Spectrum, eig_herm, support
 from .rdmcore import (PHYSICS, UNIT, ReducedDM, dumps_rdm, embed_wedge_to_tensor,
                       loads_rdm, ptrace_rdm, reduce_mixed, reduce_pure,
                       rescale)
-from .report import (REPORT_COLUMNS, fmt17, json_value, read_text, records,
+from .report import (REPORT_COLUMNS, fmt17, head, json_value, read_text,
                      report_row, write_text)
 from .statekit import (YangParams, chi_pair_vector, convex_mixture, dumps_state,
                        load_state, loads_state, random_pure_state, slater_state,
@@ -193,17 +194,18 @@ def _unit_rdm(path: str, k: int | None,
     negative eigenvalue; at the file's own k the spectrum of that check is
     the one returned, so the matrix is solved once."""
     text = read_text(path)
-    head = next(records(text), [None])[0]
-    if head == "fermistate":
-        st = loads_state(text)          # validated even when k is None
+    header, start = head(text)
+    magic = header[0] if header else None
+    if magic == "fermistate":
+        st = loads_state(text, (header, start))    # validated even when k is None
         if k is None:
             return None, None
         r = reduce_pure(st, k)
-    elif head != "fermirdm":
-        raise FermientError(f"{path}: empty file" if head is None
-                            else f"{path}: unknown header {head!r}")
+    elif magic != "fermirdm":
+        raise FermientError(f"{path}: empty file" if header is None
+                            else f"{path}: unknown header {magic!r}")
     else:
-        r = loads_rdm(text)
+        r = loads_rdm(text, (header, start))
         r = r if r.normalization == UNIT else rescale(r, UNIT, tol)
         spec = eig_herm(r.matrix, vectors=False, tol=tol)
         support(spec, tol)
@@ -475,41 +477,73 @@ _SWEEP_QUANTITIES = {
 _TABLE_FORMATS = ("json", "csv")
 
 
+class _Deferred:
+    """The parser argparse keeps for a subcommand (the subparsers'
+    `parser_class`), made, and filled by `fill`, the first time a command
+    line selects the subcommand, so a call builds only the parsers on its own
+    path. argparse makes it with the keywords it would give the parser and
+    asks it only to parse."""
+
+    def __init__(self, fill, **kwargs):
+        self._fill = fill
+        self._kwargs = kwargs
+
+    @functools.cached_property
+    def _parser(self) -> argparse.ArgumentParser:
+        p = argparse.ArgumentParser(**self._kwargs)
+        self._fill(p)
+        return p
+
+    def parse_known_args(self, args=None, namespace=None):
+        return self._parser.parse_known_args(args, namespace)
+
+
+def _subcommands(p: argparse.ArgumentParser, dest: str):
+    return p.add_subparsers(dest=dest, required=True, parser_class=_Deferred)
+
+
 def _leaf(sub, name: str, func, options: dict, formats: tuple[str, ...] = (),
           **kw) -> None:
     """A call's parser: `options` (flag -> add_argument keywords), then --tol,
     --format where the call reads it, --out and --stamp. Flags must be spelled
     out: a prefix could name another option (`--M` of `--M-range`)."""
-    p = sub.add_parser(name, allow_abbrev=False, description=kw.get("help"), **kw)
-    for flag, spec in options.items():
-        p.add_argument(flag, **spec)
-    p.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                   help="tolerance override, repeatable")
-    if formats:
-        p.add_argument("--format", choices=formats, default="json")
-    p.add_argument("--out", "-o", default=None)
-    p.add_argument("--stamp", action="store_true",
-                   help="embed a wall-clock stamp (breaks byte-identity)")
-    p.set_defaults(func=func, parser=p)
+    def fill(p: argparse.ArgumentParser) -> None:
+        for flag, spec in options.items():
+            p.add_argument(flag, **spec)
+        p.add_argument("--tol", action="append", metavar="NAME=VALUE",
+                       help="tolerance override, repeatable")
+        if formats:
+            p.add_argument("--format", choices=formats, default="json")
+        p.add_argument("--out", "-o", default=None)
+        p.add_argument("--stamp", action="store_true",
+                       help="embed a wall-clock stamp (breaks byte-identity)")
+        p.set_defaults(func=func, parser=p)
+
+    sub.add_parser(name, fill=fill, allow_abbrev=False, description=kw.get("help"), **kw)
 
 
 def _group(sub, command: str, dest: str, func, options: dict, leaves: dict,
            formats: tuple[str, ...] = (), **kw) -> None:
     """A command whose kind, suite or quantity is a leaf of its own."""
-    group = sub.add_parser(command, **kw).add_subparsers(dest=dest, required=True)
-    for name, flags in leaves.items():
-        _leaf(group, name, func, {f: options[f] for f in flags}, formats)
+    def fill(p: argparse.ArgumentParser) -> None:
+        group = _subcommands(p, dest)
+        for name, flags in leaves.items():
+            _leaf(group, name, func, {f: options[f] for f in flags}, formats)
+
+    sub.add_parser(command, fill=fill, **kw)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process. Commands and leaves are registered by
+    name and help; each one's parser is built when a command line selects it."""
     ap = argparse.ArgumentParser(
         prog="fermient",
         description="fermionic states, reduced density matrices, and "
                     "entanglement bound verification")
     ap.add_argument("--version", action="version",
                     version=f"fermient {__version__}")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = _subcommands(ap, "command")
     _group(sub, "state", "kind", cmd_state, _STATE_OPTIONS, _STATE_KINDS,
            help="construct a state and write a fermistate file")
     _leaf(sub, "rdm", cmd_rdm, {

@@ -31,7 +31,8 @@ from .config import CAP, TOL, Tolerances
 from .errors import (CapacityError, NormalizationError, RangeError,
                      ShapeError)
 from .fockbasis import RankedBasis, binom, colex_masks
-from .report import FMT17, read_text, records, write_text
+from .report import (FMT17, array_rows, blocks, head, read_text, records,
+                     write_text)
 from .statekit import (MixedStateN, PureStateN, as_mixture, ginibre_density,
                        seeded_rng)
 
@@ -383,9 +384,30 @@ def dumps_rdm(r: ReducedDM) -> str:
     return "\n".join([f"fermirdm {r.basis.n_modes} {r.k} {r.normalization}"] + rows) + "\n"
 
 
-def loads_rdm(text: str) -> ReducedDM:
-    recs = records(text, "fermirdm")
-    header = next(recs)
+def _walk_rows(block: str, first: int, D: int) -> np.ndarray:
+    """A block's matrix rows, row `first` first, read row by row: the reader
+    of every block numpy refuses or whose rows fail a check, so each error
+    names the first bad row."""
+    rows = []
+    for i, fields in enumerate(records(block), first):
+        try:
+            vals = [float(x) for x in fields]
+        except ValueError as exc:
+            raise ShapeError(f"row {i} has a non-numeric entry: {' '.join(fields)!r}") from exc
+        if len(vals) != 2 * D:
+            raise ShapeError(f"row {i} has {len(vals)} numbers, expected {2 * D}")
+        if not all(map(math.isfinite, vals)):
+            raise ShapeError(f"row {i} has a non-finite entry: {' '.join(fields)!r}")
+        rows.append(vals)
+    return np.array(rows, dtype=float).reshape(-1, 2 * D)
+
+
+def loads_rdm(text: str, scan: tuple[list[str], int] | None = None) -> ReducedDM:
+    """Parse fermirdm text; `scan` is report.head(text, "fermirdm") where the
+    caller has it already. The rows are read a report.blocks block at a time
+    by numpy's reader; a block it refuses, or whose rows hold the wrong count
+    or a non-finite number, is walked row by row."""
+    header, start = scan or head(text, "fermirdm")
     try:
         _, m_s, k_s, tag = header
         M, k = int(m_s), int(k_s)
@@ -396,21 +418,17 @@ def loads_rdm(text: str) -> ReducedDM:
     basis = RankedBasis(M, k)
     D = basis.dim
     # only parsed rows are kept, each checked to hold D entries, and they are
-    # stacked after the count, so a header alone cannot ask for D x D
-    rows = []
-    for i, fields in enumerate(recs):
-        try:
-            vals = [float(x) for x in fields]
-        except ValueError as exc:
-            raise ShapeError(f"row {i} has a non-numeric entry: {' '.join(fields)!r}") from exc
-        if len(vals) != 2 * D:
-            raise ShapeError(f"row {i} has {len(vals)} numbers, expected {2 * D}")
-        if not all(map(math.isfinite, vals)):
-            raise ShapeError(f"row {i} has a non-finite entry: {' '.join(fields)!r}")
-        rows.append(np.asarray(vals).view(complex))     # keeps the sign of a zero
-    if len(rows) != D:
-        raise ShapeError(f"expected {D} matrix rows, found {len(rows)}")
-    mat = np.stack(rows)
+    # joined after the count, so a header alone cannot ask for D x D
+    parts, n_rows = [], 0
+    for block in blocks(text, start):
+        rows = array_rows(block, np.dtype(float))
+        if rows is None or rows.shape[1] != 2 * D or not np.isfinite(rows).all():
+            rows = _walk_rows(block, n_rows, D)
+        parts.append(rows)
+        n_rows += len(rows)
+    if n_rows != D:
+        raise ShapeError(f"expected {D} matrix rows, found {n_rows}")
+    mat = np.concatenate(parts).view(complex)     # keeps the sign of a zero
     n_particles = None
     if tag == PHYSICS:
         # physics trace is C(N, k) with k <= N <= M; N is the n whose C(n, k) is

@@ -1,15 +1,19 @@
 """Bound reports and the text encoding: the one file reader and writer, the
-record rule of the fermistate/fermirdm formats, 17-digit numbers (an exact
-double round trip) and JSON escaped to ASCII.
+record rule of the fermistate/fermirdm formats and the block reader both take
+their rows through, 17-digit numbers (an exact double round trip) and JSON
+escaped to ASCII.
 """
 
 from __future__ import annotations
 
-import itertools
+import io
 import json
 import math
+import warnings
 from dataclasses import dataclass, field, fields
 from typing import Iterator
+
+import numpy as np
 
 from .config import TOL, Tolerances
 from .errors import NumericalError, ShapeError
@@ -116,28 +120,71 @@ def write_text(path, text: str) -> None:
         fh.write(text)
 
 
-# records splits the text into lines a block of about this many characters
-# at a time, so a large file's lines never all exist at once
+# text is cut into blocks of about this many characters, so a large file's
+# lines, and the rows numpy reads from them, never all exist at once
 _BLOCK_CHARS = 1 << 16
 
+# line boundaries str.splitlines honours besides \n and \r\n; numpy's reader
+# takes them for field separators, so a block holding one goes to the row walk
+_OTHER_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
-def _lines(text: str) -> Iterator[str]:
-    """text.splitlines(), lazily: each block ends at a newline, so no line
-    break, a CR LF pair included, is cut."""
-    start = 0
+
+def blocks(text: str, start: int = 0, chars: int = _BLOCK_CHARS) -> Iterator[str]:
+    """text[start:], a block at a time: each block ends at the first newline
+    at least `chars` characters on (or at the end), so no line break, a CR LF
+    pair included, is cut."""
     while start < len(text):
-        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
-        yield from text[start:end].splitlines()
+        end = text.find("\n", start + chars) + 1 or len(text)
+        yield text[start:end]
         start = end
 
 
-def records(text: str, magic: str | None = None) -> Iterator[list[str]]:
-    """Lazily, the fields of each line that is neither blank nor a `#`
-    comment; with `magic`, the first field must be exactly `magic`."""
-    recs = (f for f in map(str.split, _lines(text)) if f and not f[0].startswith("#"))
-    if magic is None:
-        return recs
-    head = next(recs, None)
-    if head is None or head[0] != magic:
+def _is_record(words: list[str]) -> bool:
+    return bool(words) and not words[0].startswith("#")
+
+
+def records(block: str) -> Iterator[list[str]]:
+    """Lazily, the fields of each line of block.splitlines() that is neither
+    blank nor a `#` comment."""
+    return filter(_is_record, map(str.split, block.splitlines()))
+
+
+def head(text: str, magic: str | None = None) -> tuple[list[str] | None, int]:
+    """The fields of the first record (see `records`) and the offset at which
+    the text after its line begins, or (None, len(text)) for a text without
+    one; only the lines up to the record are split. With `magic`, the first
+    field must be exactly `magic`."""
+    start = 0
+    lines = (line for piece in blocks(text, chars=0)
+             for line in piece.splitlines(keepends=True))
+    for line in lines:
+        start += len(line)
+        record = line.split()
+        if _is_record(record):
+            break
+    else:
+        record = None
+    if magic is not None and (record is None or record[0] != magic):
         raise ShapeError(f"not a {magic} file (missing header)")
-    return itertools.chain([head], recs)
+    return record, start
+
+
+def array_rows(block: str, dtype: np.dtype) -> np.ndarray | None:
+    """The rows of `block` as read by numpy's C reader, a (rows, columns)
+    array of `dtype` (one column for a structured dtype), or None where numpy
+    refuses the block, where the block is blank (numpy warns on it), and where
+    it holds a line boundary other than LF and CR LF. `#` is text, not a
+    comment, so a block holding a comment line is refused; every refused
+    block is left to the caller's row walk, which reads what numpy cannot and
+    raises the caller's own errors."""
+    if (block.isspace() or any(c in block for c in _OTHER_BREAKS)
+            or block.count("\r") != block.count("\r\n")):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # from numpy 1.23 until that deprecation expired, the reader took
+            # an integer column's "1.0" as 1 and only warned; int() refuses it
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(io.StringIO(block), dtype=dtype, comments=None, ndmin=2)
+    except (ValueError, DeprecationWarning):
+        return None

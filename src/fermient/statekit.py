@@ -7,7 +7,6 @@ stream, so every seed is bit-reproducible across platforms.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -19,7 +18,8 @@ from .errors import (CapacityError, InvalidModeSetError, NormalizationError,
                      ShapeError)
 from .fockbasis import (RankedBasis, binom, colex_masks, modeset, rank,
                         spread_bits)
-from .report import FMT17, read_text, records, write_text
+from .report import (FMT17, array_rows, blocks, head, read_text, records,
+                     write_text)
 
 
 @dataclass
@@ -170,63 +170,65 @@ def dumps_state(state: PureStateN) -> str:
                      + rows) + "\n"
 
 
-# loads_state takes this many rows at a time: a group is screened with array
-# operations, and the rows held beside the amplitudes stay a few hundred
+# the row count of the groups an earlier reader screened; nothing here reads
+# it, and tests/test_statekit.py still sizes its multi-group inputs by it
 _ROWS = 256
 
+# one fermistate row: index, real part, imaginary part
+_ROW = np.dtype([("index", np.int64), ("re", float), ("im", float)])
 
-def _put_rows(rows: list[list[str]], amps: np.ndarray, seen: np.ndarray) -> bool:
-    """Write a group of `index re im` rows into amps and mark them in seen, if
-    every row has three numeric fields and a new, in-range index; else change
-    nothing and return False."""
-    if set(map(len, rows)) != {3}:
-        return False
-    idx_s, re_s, im_s = zip(*rows)
-    try:
-        idx = np.fromiter(map(int, idx_s), np.int64, len(rows))
-        vals = np.fromiter(map(float, re_s + im_s), float, 2 * len(rows))
-    except (ValueError, OverflowError):
-        return False
-    if (idx.min() < 0 or idx.max() >= seen.size or len(set(idx.tolist())) < len(rows)
+
+def _put_block(rows: np.ndarray, amps: np.ndarray, seen: np.ndarray) -> bool:
+    """Write a block's `index re im` rows into amps and mark them in seen, if
+    every index is new and in range; else change nothing and return False."""
+    idx = rows["index"]
+    order = np.sort(idx)
+    if (order[0] < 0 or order[-1] >= seen.size or (order[1:] == order[:-1]).any()
             or seen[idx].any()):
         return False
     seen[idx] = True
     pairs = amps.view(float).reshape(-1, 2)    # writes each part's signed zero
-    pairs[idx, 0] = vals[:len(rows)]
-    pairs[idx, 1] = vals[len(rows):]
+    pairs[idx, 0] = rows["re"]
+    pairs[idx, 1] = rows["im"]
     return True
 
 
-def loads_state(text: str) -> PureStateN:
-    """Parse fermistate text. Rows are read _ROWS at a time; a group that
-    fails a check is walked again row by row, so the error names the first
-    bad row of the file."""
-    recs = records(text, "fermistate")
-    header = next(recs)
+def _walk_rows(block: str, amps: np.ndarray, seen: np.ndarray) -> None:
+    """Read a block row by row: the reader of every block numpy refuses or
+    whose rows fail a check, so each error names the first bad row."""
+    dim = seen.size
+    for fields in records(block):
+        try:
+            idx_s, re_s, im_s = fields
+            idx, value = int(idx_s), complex(float(re_s), float(im_s))
+        except ValueError as exc:
+            raise ShapeError(f"malformed fermistate row: {' '.join(fields)!r}") from exc
+        if not 0 <= idx < dim:
+            raise ShapeError(f"amplitude index {idx} outside basis of dim {dim}")
+        if seen[idx]:
+            raise ShapeError(f"amplitude index {idx} appears twice")
+        seen[idx] = True
+        amps[idx] = value
+
+
+def loads_state(text: str, scan: tuple[list[str], int] | None = None) -> PureStateN:
+    """Parse fermistate text; `scan` is report.head(text, "fermistate") where
+    the caller has it already. The rows are read a report.blocks block at a
+    time by numpy's reader; a block it refuses, or whose indices repeat or
+    leave the basis, is walked row by row."""
+    header, start = scan or head(text, "fermistate")
     try:
         _, m_s, n_s = header
         basis = RankedBasis(int(m_s), int(n_s))
     except ValueError as exc:
         raise ShapeError(f"malformed fermistate header: {' '.join(header)!r}") from exc
     _guard_dim(basis)
-    dim = basis.dim
-    amps = np.zeros(dim, dtype=complex)
-    seen = np.zeros(dim, dtype=bool)
-    for rows in iter(lambda: list(itertools.islice(recs, _ROWS)), []):
-        if _put_rows(rows, amps, seen):
-            continue
-        for fields in rows:
-            try:
-                idx_s, re_s, im_s = fields
-                idx, value = int(idx_s), complex(float(re_s), float(im_s))
-            except ValueError as exc:
-                raise ShapeError(f"malformed fermistate row: {' '.join(fields)!r}") from exc
-            if not 0 <= idx < dim:
-                raise ShapeError(f"amplitude index {idx} outside basis of dim {dim}")
-            if seen[idx]:
-                raise ShapeError(f"amplitude index {idx} appears twice")
-            seen[idx] = True
-            amps[idx] = value
+    amps = np.zeros(basis.dim, dtype=complex)
+    seen = np.zeros(basis.dim, dtype=bool)
+    for block in blocks(text, start):
+        rows = array_rows(block, _ROW)
+        if rows is None or not _put_block(rows[:, 0], amps, seen):
+            _walk_rows(block, amps, seen)
     return PureStateN(basis, amps)
 
 

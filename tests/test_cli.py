@@ -865,3 +865,29 @@ def test_unit_rdm_without_a_count_keeps_the_rescale_hint():
     r = dataclasses.replace(r, n_particles=None)
     with pytest.raises(NormalizationError, match="load a physics-tagged file"):
         rescale(r, PHYSICS)
+
+
+def test_a_call_builds_only_the_parser_of_its_own_leaf(tmp_path, monkeypatch, capsys):
+    # every parser's arguments were once added up front (about 160
+    # add_argument calls a process); now only the called leaf's are
+    import argparse
+
+    p = _write_yang(tmp_path, 2, 1)
+    added = []
+    add = argparse._ActionsContainer.add_argument
+
+    def spy(self, *args, **kwargs):
+        added.append(args[0])
+        return add(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", spy)
+    cli.build_parser.cache_clear()
+    try:
+        assert cli.main(["entropy", str(p), "--k", "1"]) == 0
+    finally:
+        cli.build_parser.cache_clear()
+    capsys.readouterr()
+    # "-h" is the help flag every ArgumentParser adds to itself
+    assert sorted(added) == sorted(["-h", "--version",
+                                    "-h", "input", "--k", "--bits", "--tol", "--format",
+                                    "--out", "--stamp"])

@@ -283,3 +283,22 @@ def test_fermistate_parse_memory_stays_near_the_text():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * len(text)
+
+
+def test_fermistate_parse_memory_stays_near_the_text_under_a_meta_header(tmp_path, capsys):
+    # the layout the CLI writes: `#` meta lines, then the fermistate text
+    from fermient import cli
+
+    p = tmp_path / "random.fermistate"
+    assert cli.main(["state", "random", "--M", "14", "--N", "7", "--seed", "2",
+                     "--out", str(p)]) == 0
+    capsys.readouterr()
+    text = p.read_text()
+    assert text.startswith("# fermient ")
+    tracemalloc.start()
+    try:
+        loads_state(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(text)
