@@ -194,10 +194,10 @@ def _unit_rdm(path: str, k: int | None,
     negative eigenvalue; at the file's own k the spectrum of that check is
     the one returned, so the matrix is solved once."""
     text = read_text(path)
-    header, start = head(text)
+    header, _ = head(text)
     magic = header[0] if header else None
     if magic == "fermistate":
-        st = loads_state(text, (header, start))    # validated even when k is None
+        st = loads_state(text)    # validated even when k is None
         if k is None:
             return None, None
         r = reduce_pure(st, k)
@@ -205,7 +205,7 @@ def _unit_rdm(path: str, k: int | None,
         raise FermientError(f"{path}: empty file" if header is None
                             else f"{path}: unknown header {magic!r}")
     else:
-        r = loads_rdm(text, (header, start))
+        r = loads_rdm(text)
         r = r if r.normalization == UNIT else rescale(r, UNIT, tol)
         spec = eig_herm(r.matrix, vectors=False, tol=tol)
         support(spec, tol)

@@ -282,6 +282,18 @@ def elem_sym(n: int, power_sums) -> float:
     return e[n]
 
 
+def _elem_sym_spectrum(eigenvalues, k: int) -> float:
+    """e_k of a spectrum by the product recursion e_j <- e_j + lam e_{j-1},
+    one eigenvalue at a time. On a nonnegative spectrum every term is
+    nonnegative, so nothing cancels, where the Newton recursion on power sums
+    cancels badly at large k."""
+    e = [1.0] + [0.0] * k
+    for lam in map(float, eigenvalues):
+        for j in range(k, 0, -1):
+            e[j] += lam * e[j - 1]
+    return e[k]
+
+
 def elem_sym_det(n: int, power_sums) -> float:
     """Same quantity via the determinant of the almost-triangular Newton matrix,
     divided by n!."""
@@ -315,7 +327,8 @@ def elem_sym_direct(eigenvalues, n: int) -> float:
 
 def nbody_elem_bound(state: PureStateN | MixedStateN,
                      tol: Tolerances = TOL) -> BoundReport:
-    """N S(rho_1) - S(rho_1..N) >= -ln e_N(rho_1) with e_N from the 1-RDM spectrum.
+    """N S(rho_1) - S(rho_1..N) >= -ln e_N(rho_1) with e_N from the 1-RDM spectrum
+    by the product recursion (_elem_sym_spectrum).
 
     The subset-sum cross-check e_N_direct is skipped (null, with a
     cross_check note) when its C(M, N) terms exceed CAP.elem_terms.
@@ -325,8 +338,7 @@ def nbody_elem_bound(state: PureStateN | MixedStateN,
     spec1, s1 = _one_body_spectrum(state, tol)
     s_full = state_entropy(state, tol)
     lam = spec1.eigenvalues
-    psums = [float(np.sum(lam ** j)) for j in range(2, N + 1)]
-    e_n = elem_sym(N, psums)
+    e_n = _elem_sym_spectrum(lam, N)
     lhs = N * s1 - s_full
     rhs = -math.log(e_n) if e_n > 0.0 else math.inf
     ctx = {"M": basis.n_modes, "N": N, "S1": s1, "S_full": s_full,

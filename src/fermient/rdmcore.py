@@ -402,12 +402,11 @@ def _walk_rows(block: str, first: int, D: int) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, 2 * D)
 
 
-def loads_rdm(text: str, scan: tuple[list[str], int] | None = None) -> ReducedDM:
-    """Parse fermirdm text; `scan` is report.head(text, "fermirdm") where the
-    caller has it already. The rows are read a report.blocks block at a time
+def loads_rdm(text: str) -> ReducedDM:
+    """Parse fermirdm text. The rows are read a report.blocks block at a time
     by numpy's reader; a block it refuses, or whose rows hold the wrong count
     or a non-finite number, is walked row by row."""
-    header, start = scan or head(text, "fermirdm")
+    header, start = head(text, "fermirdm")
     try:
         _, m_s, k_s, tag = header
         M, k = int(m_s), int(k_s)

@@ -170,10 +170,6 @@ def dumps_state(state: PureStateN) -> str:
                      + rows) + "\n"
 
 
-# the row count of the groups an earlier reader screened; nothing here reads
-# it, and tests/test_statekit.py still sizes its multi-group inputs by it
-_ROWS = 256
-
 # one fermistate row: index, real part, imaginary part
 _ROW = np.dtype([("index", np.int64), ("re", float), ("im", float)])
 
@@ -211,12 +207,11 @@ def _walk_rows(block: str, amps: np.ndarray, seen: np.ndarray) -> None:
         amps[idx] = value
 
 
-def loads_state(text: str, scan: tuple[list[str], int] | None = None) -> PureStateN:
-    """Parse fermistate text; `scan` is report.head(text, "fermistate") where
-    the caller has it already. The rows are read a report.blocks block at a
+def loads_state(text: str) -> PureStateN:
+    """Parse fermistate text. The rows are read a report.blocks block at a
     time by numpy's reader; a block it refuses, or whose indices repeat or
     leave the basis, is walked row by row."""
-    header, start = scan or head(text, "fermistate")
+    header, start = head(text, "fermistate")
     try:
         _, m_s, n_s = header
         basis = RankedBasis(int(m_s), int(n_s))

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -428,6 +429,37 @@ def test_nbody_bound_random_and_mixture():
     rep = nbody_elem_bound(mix)
     assert rep.holds
     assert rep.context["S_full"] == pytest.approx(LN2, abs=1e-12)
+
+
+def _exact_elem_sym(lam, k):
+    # the same product recursion in exact rational arithmetic on the doubles
+    e = [Fraction(1)] + [Fraction(0)] * k
+    for x in map(Fraction, lam):
+        for j in range(k, 0, -1):
+            e[j] += x * e[j - 1]
+    return e[k]
+
+
+@pytest.mark.parametrize("M,k", [(6, 3), (12, 6), (16, 14), (32, 16), (32, 31),
+                                 (64, 2), (64, 32), (64, 62)])
+@pytest.mark.parametrize("kind", ["flat", "random"])
+def test_elem_sym_spectrum_matches_exact_arithmetic(M, k, kind):
+    if kind == "flat":
+        lam = np.full(M, 1 / M)
+    else:
+        lam = statekit.seeded_rng(M, k).random(M)
+        lam /= lam.sum()
+    exact = _exact_elem_sym(lam, k)
+    got = entmeasures._elem_sym_spectrum(lam, k)
+    assert abs(Fraction(got) - exact) <= Fraction(1, 10 ** 14) * exact
+
+
+def test_nbody_bound_rhs_is_stable_at_many_particles():
+    # yang(32, 31): a flat 1-RDM spectrum 1/64 on 64 modes, so e_62 = C(64, 62) / 64^62;
+    # the Newton recursion on power sums (elem_sym) misses this rhs by 0.596
+    rep = nbody_elem_bound(yang_state(YangParams(32, 31)))
+    assert abs(rep.rhs - (372 * LN2 - math.log(2016))) <= 1e-12
+    assert rep.context["e_N"] == pytest.approx(rep.context["e_N_direct"], rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -269,3 +269,16 @@ def test_capacities_are_read_only_as_the_module_cap():
              and node.attr in fields
              and not (isinstance(node.value, ast.Name) and node.value.id == "CAP")]
     assert params == [] and reads == []
+
+
+def test_text_loaders_read_their_own_header():
+    # loads_state and loads_rdm take the text alone and find its header
+    # themselves; no function takes a header scan
+    params = [(f"{name}:{getattr(fn, 'name', 'lambda')}",
+               [a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs])
+              for name, tree in _trees().items()
+              for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.Lambda))]
+    loaders = {site: args for site, args in params
+               if site in ("statekit.py:loads_state", "rdmcore.py:loads_rdm")}
+    assert loaders == {"statekit.py:loads_state": ["text"], "rdmcore.py:loads_rdm": ["text"]}
+    assert [site for site, args in params if "scan" in args] == []

@@ -29,7 +29,7 @@ from fermient import (
     wedge_density,
     yang_state,
 )
-from fermient import statekit
+from fermient import report, statekit
 
 
 def test_slater_places_single_amplitude():
@@ -232,11 +232,19 @@ def test_convex_mixture_refuses_non_finite_weights(weights):
 
 
 def _rows_text(rows):
-    # 924-dim (12, 6) basis; rows placed past the first group of a parse
+    # 924-dim (12, 6) basis
     return "fermistate 12 6\n" + "".join(f"{r}\n" for r in rows)
 
 
-_FIRST = [f"{i} 0.03 0" for i in range(statekit._ROWS + 5)]
+def _second_block_start(text):
+    # the offset at which the reader's second block begins
+    _, start = report.head(text)
+    return start + len(next(report.blocks(text, start)))
+
+
+# 261 rows padded with trailing spaces, so together they fill more than one
+# reader block
+_FIRST = [f"{i} 0.03 0".ljust(report._BLOCK_CHARS // 200) for i in range(261)]
 
 
 @pytest.mark.parametrize("tail,message", [
@@ -253,22 +261,28 @@ _FIRST = [f"{i} 0.03 0" for i in range(statekit._ROWS + 5)]
     (["600 0.1 0", "601 0.1", "600 0.2 0"], "malformed fermistate row: '601 0.1'"),
 ])
 def test_fermistate_errors_past_the_first_group_name_the_first_bad_row(tail, message):
-    # each bad row sits in a later group than the first; a duplicate of row 3
-    # crosses groups, and a malformed row beats a later duplicate
+    # each bad row sits in a later block than the first; a duplicate of row 3
+    # crosses blocks, and a malformed row beats a later duplicate
+    text = _rows_text(_FIRST + tail + ["800 0.1 0"])
+    assert text.index(f"\n{tail[0]}\n") + 1 >= _second_block_start(text)
     with pytest.raises(ShapeError) as err:
-        loads_state(_rows_text(_FIRST + tail + ["800 0.1 0"]))
+        loads_state(text)
     assert str(err.value) == message
 
 
 def test_fermistate_groups_skip_comments_read_crlf_and_keep_signed_zeros():
     basis = RankedBasis(12, 6)
     amps = random_pure_state(basis, seed=8).amplitudes.copy()
-    j = statekit._ROWS + 40      # in the second group
+    j = 800      # in the second block
     amps[3], amps[j] = complex(-0.0, abs(amps[3])), complex(abs(amps[j]), -0.0)
     st = PureStateN(basis, amps)
-    lines = dumps_state(st).splitlines()
-    lines[100:100] = ["# a note inside a group", "", "   "]
-    back = loads_state("\r\n".join(lines) + "\r\n")
+    # lines padded with trailing spaces, so the 924 rows fill two blocks
+    width = report._BLOCK_CHARS // 600
+    lines = [line.ljust(width) for line in dumps_state(st).splitlines()]
+    lines[100:100] = ["# a note inside a block", "", "   "]
+    text = "\r\n".join(lines) + "\r\n"
+    assert text.index(f"\r\n{j} ") + 2 >= _second_block_start(text)
+    back = loads_state(text)
     assert back.amplitudes.tobytes() == st.amplitudes.tobytes()
     assert np.signbit(back.amplitudes[3].real)
     assert np.signbit(back.amplitudes[j].imag)
