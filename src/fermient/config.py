@@ -15,9 +15,11 @@ reduction's gather table.
 The other fixed limits live beside their code:
   * `suites`' ROUTE_MATCH, CLOSED_FORM_MATCH and EF_FLOOR_GRACE;
   * the descent constants of `entmeasures` (_DESCENT_STEPS, _ARMIJO,
-    _GRAD_FLOOR, _STEP_FLOOR, _FLOOR_GAP, _LOG_CLIP; _FLOOR_GAP also decides
-    `ef_optimize`'s restart ties) and `min_s2_search`'s byte budget for the
-    gathered G of one group of restarts (_S2_GROUP_BYTES);
+    _GRAD_FLOOR, _STEP_FLOOR, _ROUNDING, _FLOOR_GAP, _LOG_CLIP; _FLOOR_GAP
+    also decides `ef_optimize`'s restart ties) and `min_s2_search`'s byte
+    budget for the gathered G of one group of restarts (_S2_GROUP_BYTES);
+  * `entmeasures._TINY` = 1e-18, below which `_spectrum_contribs` takes an
+    eigenvalue, or a Gram's trace, as zero;
   * `fockbasis.MAX_MODES` = 64, the width of the uint64 mode bitmasks;
   * `ef_optimize`'s 1e-15 margin for accepting a pair rotation and
     `_finish`'s 1e-14 floor on a member's weight;

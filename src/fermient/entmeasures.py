@@ -400,7 +400,9 @@ _COARSE_T, _COARSE_P = np.array([(0.0, 0.0)] + [(t, p) for t in _ANGLES[1:]
 # Descent on isometries (E_f ensembles, min-S2 unit vectors): E_f takes at most
 # _DESCENT_STEPS conjugate gradient steps per restart; Armijo backtracking with
 # constant _ARMIJO, ended early by a squared gradient norm below _GRAD_FLOOR, a
-# step below _STEP_FLOOR or a value within _FLOOR_GAP of the floor.
+# value within _FLOOR_GAP of the floor, or a rejected candidate that leaves the
+# step below _STEP_FLOOR or whose value is within _ROUNDING |value| of the
+# lane's (64 eps: the value is flat to rounding, so more halvings test noise).
 # _FLOOR_GAP also ends ef_optimize's restarts at the floor and decides
 # restart ties: a later restart must end more than _FLOOR_GAP lower to win.
 # Eigenvalues are clipped at _LOG_CLIP before the log of a Gram.
@@ -408,6 +410,7 @@ _DESCENT_STEPS = 100
 _ARMIJO = 1e-4
 _GRAD_FLOOR = 1e-24
 _STEP_FLOOR = 1e-10
+_ROUNDING = 2.0 ** -46
 _FLOOR_GAP = 1e-12
 _LOG_CLIP = 1e-300
 
@@ -536,7 +539,10 @@ def _descend(iso: np.ndarray, value_grad, floor: float,
 
     Each lane keeps its own step, direction, step count and stop tests (a
     squared gradient norm below _GRAD_FLOOR, a value within _FLOOR_GAP of
-    floor, a step below _STEP_FLOOR, `steps` steps taken), and every array
+    floor, `steps` steps taken, and a rejected candidate that leaves the step
+    below _STEP_FLOOR or whose value is within _ROUNDING |value| of the
+    lane's, where further halvings would only compare rounding noise; a NaN
+    candidate is never within rounding), and every array
     operation acts on each lane's slice alone, so a lane's arithmetic is bit
     for bit that of a one-lane run from the same start. A lane keeps its
     index in the stack from start to end: a stopped lane is skipped, and a
@@ -594,7 +600,8 @@ def _descend(iso: np.ndarray, value_grad, floor: float,
             curv = cand_value[i] - value[j] - slope[j] * step[j]
             step[j] = max(0.1 * step[j],
                           min(0.5 * step[j], -0.5 * slope[j] * step[j] * step[j] / curv))
-            done[j] = step[j] < _STEP_FLOOR
+            done[j] = (step[j] < _STEP_FLOOR
+                       or abs(cand_value[i] - value[j]) <= _ROUNDING * abs(value[j]))
         fresh = [act[i] for i in moved]
         if not fresh:
             continue

@@ -883,6 +883,58 @@ def test_descend_keeps_every_lane_whose_candidates_are_nan(case):
     assert list(got_evals) == [35] * len(isos)
 
 
+def _flat_first_candidates(value_grad, flat, bump):
+    """value_grad, except that on the second call (the first candidates, one
+    per lane when no lane has stopped) the lanes at positions `flat` get their
+    start value times (1 + bump) back, with the candidates' own gradients."""
+    calls = []
+
+    def kernel(stack):
+        value, g = value_grad(stack)
+        calls.append(value)
+        if len(calls) == 2:
+            value[flat] = calls[0][flat] * (1.0 + bump)
+        return value, g
+
+    return kernel
+
+
+@pytest.mark.parametrize("case", [0, 1])
+@pytest.mark.parametrize("bump", [0.0, 2.0 ** -48, -(2.0 ** -48)])
+def test_descend_stops_a_lane_whose_candidate_is_flat_to_rounding(case, bump):
+    # a rejected candidate within _ROUNDING |value| of the lane's value ends
+    # the lane after 2 evaluations, at its start, while the other lanes of the
+    # stack keep descending; each lane does what its one-lane run does
+    value_grad, isos = list(_lane_cases())[case]
+    if case == 0:
+        isos = np.delete(isos, 2, axis=0)   # a determinant: its gradient is 0
+    flat = [0, 2]
+    starts = value_grad(isos)[0]
+    got_iso, got_value, got_evals = entmeasures._descend(
+        isos, _flat_first_candidates(value_grad, flat, bump), -math.inf, 60)
+    for b in range(len(isos)):
+        kernel = _flat_first_candidates(value_grad, [0] if b in flat else [], bump)
+        one_iso, one_value, one_evals = entmeasures._descend(isos[b:b + 1], kernel,
+                                                             -math.inf, 60)
+        assert got_iso[b].tobytes() == one_iso[0].tobytes(), b
+        assert got_value[b] == one_value[0] and got_evals[b] == one_evals[0], b
+        if b in flat:
+            assert got_evals[b] == 2, b
+            assert got_iso[b].tobytes() == isos[b].tobytes() and got_value[b] == starts[b]
+        else:
+            assert got_evals[b] > 2 and got_value[b] < starts[b], b
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_descend_keeps_a_lane_whose_candidate_is_just_past_rounding(case):
+    # a rejected candidate 4 _ROUNDING |value| above the lane's value is not
+    # flat: the lane halves its step and goes on
+    value_grad, isos = list(_lane_cases())[case]
+    lane = isos[:1]
+    kernel = _flat_first_candidates(value_grad, [0], 4 * entmeasures._ROUNDING)
+    assert entmeasures._descend(lane, kernel, -math.inf, 60)[2][0] > 2
+
+
 def test_ef_optimize_hands_the_descent_a_kernel_of_the_whole_stack(monkeypatch):
     # E_f passes its kernel as min-S2 does: each lane of a (B, L, r) stack gets
     # its own value and gradient, as a one-lane stack of it would
@@ -1051,6 +1103,17 @@ def test_min_s2_search_reaches_the_determinant_at_larger_shapes(M, N, seed):
     res = min_s2_search(M, N, MinS2Options(restarts=2, seed=seed))
     assert res.slater_reference == pytest.approx(math.log(math.comb(N, 2)), abs=1e-12)
     assert abs(res.gap) <= 1e-8
+
+
+@pytest.mark.parametrize("M, N, most", [(5, 3, 210), (6, 4, 300)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_min_s2_search_stops_its_lanes_at_the_rounding_floor(M, N, most, seed):
+    # lanes end once a rejected candidate is flat to rounding: ten restarts
+    # took 168-178 evaluations at (5,3) and 235-260 at (6,4) (seeds 0-3),
+    # where running on to the step floor took 301-323 and 376-409
+    res = min_s2_search(M, N, MinS2Options(restarts=10, seed=seed))
+    assert abs(res.best_entropy - math.log(math.comb(N, 2))) <= 1e-12
+    assert res.evaluations <= most
 
 
 def test_nbody_elem_cross_check_skipped_past_capacity(monkeypatch):

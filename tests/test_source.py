@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import pathlib
+import re
 
 import fermient
 from fermient.config import Capacities, Tolerances
@@ -282,3 +283,18 @@ def test_text_loaders_read_their_own_header():
                if site in ("statekit.py:loads_state", "rdmcore.py:loads_rdm")}
     assert loaders == {"statekit.py:loads_state": ["text"], "rdmcore.py:loads_rdm": ["text"]}
     assert [site for site, args in params if "scan" in args] == []
+
+
+def test_every_float_constant_is_listed_among_the_fixed_limits():
+    # config's docstring lists the fixed limits that live beside their code,
+    # so a module-level name bound to a float literal, or to arithmetic on
+    # numeric literals alone (such as 2.0 ** -46), must be named there
+    numeric = (ast.Constant, ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop)
+    found = [f"{name}:{target.id}" for name, tree in _trees().items()
+             for node in tree.body if isinstance(node, ast.Assign)
+             if all(isinstance(n, numeric) for n in ast.walk(node.value))
+             and isinstance(eval(compile(ast.Expression(node.value), name, "eval")), float)
+             for target in node.targets]
+    listed = set(re.findall(r"\w+", fermient.config.__doc__))
+    assert len(found) >= 10
+    assert [site for site in found if site.split(":")[1] not in listed] == []
