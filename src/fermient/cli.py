@@ -298,7 +298,7 @@ def cmd_verify(args, tol: Tolerances) -> int:
     ef = EfOptions()        # read only by the suites that take --restarts
     if "restarts" in took:
         ef = EfOptions(ensemble_size=args.ensemble, restarts=args.restarts,
-                       seed=args.seed, max_iters=args.max_iters)
+                       seed=args.seed)
     states = tuple(CorpusEntry(f"user-{i}-{path}", "user", load_state(path))
                    for i, path in enumerate(took.get("states", ())))
     run = suites.SuiteRun(seed=args.seed, n_random=args.random, M=took.get("M"),
@@ -368,7 +368,7 @@ def _sweep_ef(args, tol) -> tuple[list[str], list[list]]:
                                     slater_state(b6, (2, 3)),
                                     slater_state(b6, (4, 5))])),
     ]
-    opts = EfOptions(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
+    opts = EfOptions(restarts=args.restarts, seed=args.seed)
     rows = []
     for name, st in cases:
         res = ef_optimize(embed_wedge_to_tensor(reduce_mixed(st, 2)), opts, tol)
@@ -438,13 +438,12 @@ _VERIFY_OPTIONS = {
     "--N": {"type": int, "help": "filter corpus by particles"},
     "--states": {"nargs": "*", "default": (), "help": "extra fermistate files to include"},
     "--restarts": {"type": int, "default": 2, "help": "ef restarts"},
-    "--max-iters": {"type": int, "default": 4, "help": "ef sweeps per restart"},
     "--ensemble": {"choices": ("rank", "square"), "default": "rank",
                    "help": "ef ensemble size rule"},
 }
 _ANY_SUITE = ("--random", "--seed", "--jobs")
 _CORPUS = _ANY_SUITE + ("--M", "--N", "--states")
-_EF = _CORPUS + ("--restarts", "--max-iters", "--ensemble")
+_EF = _CORPUS + ("--restarts", "--ensemble")
 # `yang` reads neither --random nor --seed; it keeps both so that one command
 # line (perfbench's verify-bounds workload) runs every bound suite
 _VERIFY_SUITES = {
@@ -464,12 +463,11 @@ _SWEEP_OPTIONS = {
     "--m": {"help": "range like 2..5"},
     "--random": {"type": int, "default": 5, "help": "random states per grid point"},
     "--restarts": {"type": int, "default": EfOptions.restarts},
-    "--max-iters": {"type": int, "default": EfOptions.max_iters},
     "--seed": {"type": int, "default": 1},
 }
 _SWEEP_QUANTITIES = {
     "s2": ("--N", "--M"),
-    "ef": ("--restarts", "--max-iters", "--seed"),
+    "ef": ("--restarts", "--seed"),
     "mutual-slack": ("--N", "--M-range", "--random", "--seed"),
     "yang-spectrum": ("--m",),
 }

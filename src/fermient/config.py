@@ -16,13 +16,14 @@ The other fixed limits live beside their code:
   * `suites`' ROUTE_MATCH, CLOSED_FORM_MATCH and EF_FLOOR_GRACE;
   * the descent constants of `entmeasures` (_DESCENT_STEPS, _ARMIJO,
     _GRAD_FLOOR, _STEP_FLOOR, _ROUNDING, _FLOOR_GAP, _LOG_CLIP; _FLOOR_GAP
-    also decides `ef_optimize`'s restart ties) and `min_s2_search`'s byte
-    budget for the gathered G of one group of restarts (_S2_GROUP_BYTES);
+    also decides `ef_optimize`'s restart ties), `ef_optimize`'s _STATIONARY,
+    the squared gradient norm at most which a winner off the floor reads
+    `converged`, and `min_s2_search`'s byte budget for the gathered G of one
+    group of restarts (_S2_GROUP_BYTES);
   * `entmeasures._TINY` = 1e-18, below which `_spectrum_contribs` takes an
     eigenvalue, or a Gram's trace, as zero;
   * `fockbasis.MAX_MODES` = 64, the width of the uint64 mode bitmasks;
-  * `ef_optimize`'s 1e-15 margin for accepting a pair rotation and
-    `_finish`'s 1e-14 floor on a member's weight;
+  * `_finish`'s 1e-14 floor on an E_f member's weight;
   * `yang_analytics`' 1e-12 check that the closed-form spectrum sums to 1;
   * `PureStateN`'s 1e-12 norm check and `convex_mixture`'s 1e-9 weight sum.
 """
@@ -47,7 +48,6 @@ class Tolerances:
     sqrt_square: float = 1e-8        # relative max |R R - A| past the clamp
     # bound evaluation
     bound_slack: float = 1e-9        # holds <=> slack >= -bound_slack
-    ef_sweep_tol: float = 1e-10      # optimizer sweep improvement threshold
 
 
 @dataclass(frozen=True)

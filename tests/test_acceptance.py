@@ -174,7 +174,7 @@ def test_acceptance_formation_energy_floor(corpus, capsys):
                            slater_state(b6, (4, 5))])
     v3 = ef_optimize(embed_wedge_to_tensor(reduce_mixed(mix3, 2))).value
     # cheap settings still yield valid upper bounds, so a floor check stands
-    floor_opts = EfOptions(ensemble_size="rank", restarts=1, max_iters=2)
+    floor_opts = EfOptions(ensemble_size="rank", restarts=1)
     floor_min = math.inf
     for entry in corpus:
         t = embed_wedge_to_tensor(entry.rdm(2))

@@ -196,14 +196,6 @@ def test_verify_nan_report_exits_4(capsys, monkeypatch):
     assert err.startswith("fermient: numerical failure: ") and err.count("\n") == 1
 
 
-def test_ef_sweep_tol_override_is_enforced(capsys):
-    # a sweep that improves the total by less than ef_sweep_tol ends the restart
-    assert cli.main(["verify", "ef", "--M", "6", "--N", "4", "--random", "8",
-                     "--tol", "ef_sweep_tol=1e3"]) == 0
-    reports = _json_lines(capsys.readouterr().out)[1:]
-    assert reports and all(r["context"]["converged"] for r in reports)
-
-
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert cli.main(["verify", "mutual", "--tol", "bogus=1"]) == 2
     assert cli.main(["verify", "mutual", "--tol", "no-equals"]) == 2
@@ -226,8 +218,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     ["verify", "mutual", "--M", "4", "--random", "-3"],
     ["sweep", "mutual-slack", "--random", "-1"],
     ["verify", "mutual", "--M", "4", "--random", "0", "--jobs", "0"],
-    ["verify", "ef", "--M", "4", "--random", "0", "--max-iters", "-3"],
-    ["sweep", "ef", "--max-iters", "-2"],
+    ["verify", "ef", "--M", "4", "--random", "0", "--restarts", "-3"],
+    ["sweep", "ef", "--restarts", "-2"],
     ["sweep", "s2", "--M", "0"],
 ])
 def test_malformed_values_exit_2(argv, capsys):
@@ -354,7 +346,7 @@ def test_tol_overrides_parse_by_field_type(capsys):
 
 def test_unread_and_duplicate_tolerances_are_unknown_names(capsys):
     yang = ["yang", "--m", "3", "--n", "1"]
-    for gone in ("jacobi_max_sweeps=50", "trace_match=1e-9"):
+    for gone in ("jacobi_max_sweeps=50", "trace_match=1e-9", "ef_sweep_tol=1e3"):
         assert cli.main(yang + ["--tol", gone]) == 2, gone
         assert "unknown tolerance" in capsys.readouterr().err
 
@@ -457,7 +449,7 @@ def test_verify_jobs_are_capped_at_the_suite_count(monkeypatch, capsys):
     assert cli.main(["verify", "yang", "--jobs", "64"]) == 0
     assert requested == []          # one suite runs serially
     assert cli.main(["verify", "all", "--M", "4", "--random", "0", "--restarts", "1",
-                     "--max-iters", "1", "--jobs", "64"]) == 0
+                     "--jobs", "64"]) == 0
     assert requested == [len(cli._SUITES)]
     capsys.readouterr()
 
@@ -477,7 +469,7 @@ def test_verify_reads_each_state_file_once(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(statekit, "read_text", spy)
     assert cli.main(["verify", "all", "--random", "0", "--M", "5", "--states", str(p),
-                     "--restarts", "1", "--max-iters", "1"]) == 0
+                     "--restarts", "1"]) == 0
     assert reads == [str(p)]
     reports = _json_lines(capsys.readouterr().out)[1:]
     assert {r["name"] for r in reports if r["context"].get("state") == f"user-0-{p}"} == {
@@ -527,7 +519,7 @@ def test_verify_reports_identical_across_processes(tmp_path):
     env = dict(os.environ, PYTHONHASHSEED="0",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = [sys.executable, "-m", "fermient.cli", "verify", "all", "--random", "3",
-            "--restarts", "1", "--max-iters", "2"]
+            "--restarts", "1"]
 
     def run(*extra):
         done = subprocess.run(argv + list(extra), env=env, cwd=tmp_path,
@@ -697,7 +689,7 @@ def test_state_chi_and_sweeps_run(capsys):
     assert cli.main(["sweep", "mutual-slack", "--random", "1", "--M-range", "4..5"]) == 0
     rows = _json_lines(capsys.readouterr().out)[1:]
     assert len(rows) == 14 and all(r["holds"] == "true" for r in rows)
-    assert cli.main(["sweep", "ef", "--restarts", "1", "--max-iters", "2"]) == 0
+    assert cli.main(["sweep", "ef", "--restarts", "1"]) == 0
     rows = _json_lines(capsys.readouterr().out)[1:]
     assert [r["case"] for r in rows] == ["slater-proj-M4", "mix2-M4", "mix3-M6"]
     assert all(r["excess"] > -1e-4 for r in rows)
@@ -715,6 +707,8 @@ def test_state_chi_and_sweeps_run(capsys):
     ["sweep", "yang-spectrum", "--random", "2"],
     ["sweep", "mutual-slack", "--M", "4"],
     ["rdm", "FILE", "--k", "1", "--seed", "3"],
+    ["verify", "ef", "--max-iters", "4"],
+    ["sweep", "ef", "--max-iters", "4"],
 ])
 def test_an_option_the_call_does_not_read_shows_its_usage(argv, capsys):
     call = argv[:1] if argv[0] == "rdm" else argv[:2]

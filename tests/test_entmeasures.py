@@ -469,13 +469,21 @@ def _pair_tensor(state):
     return embed_wedge_to_tensor(reduce_mixed(state, 2))
 
 
-def test_ef_converges_at_zero_sweep_tol():
-    # a sweep that changes nothing lowers the total by 0 <= ef_sweep_tol
-    t = _pair_tensor(yang_state(YangParams(2, 2)))
-    res = ef_optimize(t, EfOptions(ensemble_size="rank", restarts=2, max_iters=30),
-                      dataclasses.replace(TOL, ef_sweep_tol=0.0))
-    assert res.converged and res.sweeps == 1
+def test_ef_converged_means_a_stationary_winner(monkeypatch):
+    # converged: the winner ends within _FLOOR_GAP of the floor, or its
+    # squared Riemannian gradient norm is at most _STATIONARY
+    res = ef_optimize(_pair_tensor(yang_state(YangParams(2, 2))), CLI_EF)
+    assert res.converged and res.sweeps == 0
     assert res.value == pytest.approx(LN2, abs=1e-12)
+    assert ef_optimize(_pair_tensor(slater_state(RankedBasis(4, 2), (0, 1))),
+                       CLI_EF).converged
+    rank_one = _pair_tensor(random_pure_state(RankedBasis(5, 2), seed=7))
+    res = ef_optimize(rank_one, CLI_EF)
+    assert res.value > LN2 + 1e-3 and res.converged
+    t = _pair_tensor(random_pure_state(RankedBasis(6, 4), seed=3))
+    monkeypatch.setattr(entmeasures, "_DESCENT_STEPS", 2)
+    res = ef_optimize(t, CLI_EF)
+    assert res.value > LN2 + 1e-3 and not res.converged and res.sweeps == 0
 
 
 def test_ef_pure_determinant_is_ln2():
@@ -488,7 +496,7 @@ def test_ef_pure_determinant_is_ln2():
 def test_ef_mixture_reaches_floor():
     st = convex_mixture([0.5, 0.5], [slater_state(RankedBasis(4, 2), (0, 1)),
                                      slater_state(RankedBasis(4, 2), (2, 3))])
-    res = ef_optimize(_pair_tensor(st), EfOptions(restarts=2, max_iters=30))
+    res = ef_optimize(_pair_tensor(st), EfOptions(restarts=2))
     assert res.value == pytest.approx(LN2, abs=1e-6)
 
 
@@ -506,7 +514,7 @@ def test_ef_deterministic_and_reconstructs():
     t = _pair_tensor(convex_mixture(
         [0.25, 0.75], [slater_state(RankedBasis(4, 2), (0, 1)),
                        slater_state(RankedBasis(4, 2), (1, 2))]))
-    opts = EfOptions(restarts=3, max_iters=20)
+    opts = EfOptions(restarts=3)
     r1 = ef_optimize(t, opts)
     r2 = ef_optimize(t, opts)
     assert r1.value == r2.value
@@ -521,7 +529,7 @@ def test_ef_ensemble_size_options():
     t = _pair_tensor(convex_mixture(
         [0.5, 0.5], [slater_state(RankedBasis(4, 2), (0, 1)),
                      slater_state(RankedBasis(4, 2), (2, 3))]))
-    quick = EfOptions(restarts=1, max_iters=4)
+    quick = EfOptions(restarts=1)
     v_rank = ef_optimize(t, dataclasses.replace(quick, ensemble_size="rank")).value
     v_sq = ef_optimize(t, dataclasses.replace(quick, ensemble_size="square")).value
     v_four = ef_optimize(t, dataclasses.replace(quick, ensemble_size=4)).value
@@ -536,7 +544,7 @@ def test_ef_ensemble_size_takes_rank_square_or_an_int(size):
     assert EfOptions().ensemble_size == "square"
     t = _pair_tensor(slater_state(RankedBasis(4, 2), (0, 1)))
     with pytest.raises(ShapeError, match="ensemble size"):
-        ef_optimize(t, EfOptions(ensemble_size=size, restarts=1, max_iters=1))
+        ef_optimize(t, EfOptions(ensemble_size=size, restarts=1))
 
 
 def test_ef_input_validation(monkeypatch):
@@ -559,99 +567,6 @@ def test_ef_chi_state_matches_closed_form():
         res = ef_optimize(t)
         assert res.value == pytest.approx(yang_analytics(YangParams(m, 1)).ef_alt,
                                           abs=1e-10)
-
-
-def _svd_contrib(row, d):
-    # weight * entropy of one unnormalized member, from its Schmidt values
-    s = np.linalg.svd(row.reshape(d, d), compute_uv=False)
-    p = s * s
-    lam = p.sum()
-    p = p[p > 1e-18]
-    return float(-(p * np.log(p)).sum() + lam * math.log(lam))
-
-
-def _kernel_pairs():
-    rng = np.random.default_rng(11)
-    for d in range(2, 7):
-        z = rng.standard_normal((2, d * d)) + 1j * rng.standard_normal((2, d * d))
-        yield d, z[0] / np.linalg.norm(z), z[1] / np.linalg.norm(z)
-        # Slater-like rows: rank-2 antisymmetric u v^T - v u^T
-        u, v, x = rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d))
-        wk = (np.outer(u, v) - np.outer(v, u)).ravel()
-        wl = (np.outer(u, x) - np.outer(x, u)).ravel()
-        scale = math.sqrt(2) * max(np.linalg.norm(wk), np.linalg.norm(wl))
-        yield d, wk / scale, wl / scale
-
-
-def test_pair_objective_matches_svd_of_rotated_rows():
-    from fermient.entmeasures import _pair_coefs, _pair_values
-    thetas = np.array([0.0, 0.3, 1.1, 2.0, math.pi / 2])
-    phis = np.array([0.7, 0.0, 2.5, 4.0, 1.3])
-    for d, wk, wl in _kernel_pairs():
-        got = _pair_values(wk, wl, _pair_coefs(thetas, phis), d, d)
-        for th, ph, val in zip(thetas, phis, got):
-            c = math.cos(th)
-            u_s = complex(math.cos(ph), math.sin(ph)) * math.sin(th)
-            top = c * wk + u_s * wl
-            bot = -np.conjugate(u_s) * wk + c * wl
-            want = _svd_contrib(top, d) + _svd_contrib(bot, d)
-            assert abs(val - want) <= 1e-12, (d, th)
-
-
-def test_pair_objective_has_period_half_pi_in_theta():
-    from fermient.entmeasures import _pair_coefs, _pair_values
-    thetas = np.linspace(0.0, math.pi / 2, 9)
-    phis = np.linspace(0.1, 3.0, 9)
-    for d, wk, wl in _kernel_pairs():
-        a = _pair_values(wk, wl, _pair_coefs(thetas, phis), d, d)
-        b = _pair_values(wk, wl, _pair_coefs(thetas + math.pi / 2, phis), d, d)
-        assert np.abs(a - b).max() <= 1e-12, d
-
-
-def test_best_pair_rotation_reevaluates_below_coarse_grid():
-    from fermient.entmeasures import (_ANGLES, _PHASES, _best_pair_rotation,
-                                      _pair_coefs, _pair_values)
-    tt, pp = np.meshgrid(_ANGLES, _PHASES, indexing="ij")
-    for d, wk, wl in _kernel_pairs():
-        coarse = _pair_values(wk, wl, _pair_coefs(tt.ravel(), pp.ravel()), d, d).min()
-        assert _best_pair_rotation(wk, wl, d, d)[2] == coarse
-        theta, phi, val = _best_pair_rotation(wk, wl, d, d)
-        again = _pair_values(wk, wl, _pair_coefs(np.array([theta]), np.array([phi])),
-                             d, d)
-        assert abs(again[0] - val) <= 1e-12
-        assert val <= coarse
-
-
-def test_best_pair_rotation_is_the_argmin_of_the_full_grid():
-    # theta = 0 is scored once, as (0, 0), first; argmin over the full
-    # _ANGLES x _PHASES grid must still give the same (theta, phi, value)
-    from fermient.entmeasures import (_ANGLES, _PHASES, _best_pair_rotation,
-                                      _pair_coefs, _pair_values)
-    tt, pp = np.meshgrid(_ANGLES, _PHASES, indexing="ij")
-    tt, pp = tt.ravel(), pp.ravel()
-    rng = np.random.default_rng(21)
-    pairs = []
-    for d in range(2, 7):
-        for _ in range(20):
-            z = statekit.complex_normal(rng, 2, d * d)
-            pairs.append((d, *(z / np.linalg.norm(z))))
-            u, v, x = statekit.complex_normal(rng, 3, d)
-            wk, wl = np.outer(u, v) - np.outer(v, u), np.outer(u, x) - np.outer(x, u)
-            scale = 2 * max(np.linalg.norm(wk), np.linalg.norm(wl))
-            pairs.append((d, wk.ravel() / scale, wl.ravel() / scale))
-        # planted: two product rows on orthogonal factors; any rotation
-        # entangles them, so theta = 0 wins
-        a, b = np.linalg.qr(statekit.complex_normal(rng, d, 2))[0].T
-        c, e = np.linalg.qr(statekit.complex_normal(rng, d, 2))[0].T
-        pairs.append((d, 0.6 * np.outer(a, c).ravel(), 0.8 * np.outer(b, e).ravel()))
-    planted = 0
-    for d, wk, wl in pairs:
-        full = _pair_values(wk, wl, _pair_coefs(tt, pp), d, d)
-        i = int(np.argmin(full))
-        want = (float(tt[i]), float(pp[i]), float(full[i]))
-        assert _best_pair_rotation(wk, wl, d, d) == want, d
-        planted += want[:2] == (0.0, 0.0)
-    assert planted >= 5
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +656,7 @@ def test_yang_ef_closed_forms_are_not_the_pair_rdm_ef(m, n):
     # at n >= 2 an ensemble at CLI settings already beats both closed forms
     ana = yang_analytics(YangParams(m, n))
     res = ef_optimize(_pair_tensor(yang_state(YangParams(m, n))),
-                      EfOptions(ensemble_size="rank", restarts=2, seed=1, max_iters=4))
+                      EfOptions(ensemble_size="rank", restarts=2, seed=1))
     assert LN2 - 1e-12 <= res.value < ana.ef_paper - 0.05
     assert ana.ef_paper < ana.ef_alt
 
@@ -1131,46 +1046,6 @@ def test_nbody_elem_cross_check_skipped_past_capacity(monkeypatch):
     assert '"e_N_direct": null' in report_json_line(past)
 
 
-def test_ef_never_rescans_a_pair_with_unchanged_rows(monkeypatch):
-    t = _pair_tensor(random_pure_state(RankedBasis(6, 4), seed=3))
-    real = entmeasures._best_pair_rotation
-    seen = set()
-
-    def spy(wk, wl, *rest):
-        key = (wk.tobytes(), wl.tobytes())
-        assert key not in seen
-        seen.add(key)
-        return real(wk, wl, *rest)
-
-    monkeypatch.setattr(entmeasures, "_best_pair_rotation", spy)
-    res = ef_optimize(t, EfOptions(ensemble_size="rank", restarts=1, max_iters=4))
-    L = res.decomposition.weights.size
-    assert 0 < len(seen) < res.sweeps * L * (L - 1) // 2
-
-
-def test_ef_never_accepts_the_identity_rotation(monkeypatch):
-    # a scan whose best point is theta = 0 may read below the members' total,
-    # which sums another way; accepting it would rescan rows left unchanged
-    t = _pair_tensor(random_pure_state(RankedBasis(6, 4), seed=3))
-    real = entmeasures._best_pair_rotation
-    seen = set()
-    planted = []
-
-    def at_optimum(wk, wl, *rest):
-        key = (wk.tobytes(), wl.tobytes())
-        assert key not in seen
-        seen.add(key)
-        theta, phi, val = real(wk, wl, *rest)
-        if theta == 0.0:
-            planted.append(key)
-            val -= 1e-14
-        return theta, phi, val
-
-    monkeypatch.setattr(entmeasures, "_best_pair_rotation", at_optimum)
-    res = ef_optimize(t, EfOptions(ensemble_size="rank", restarts=1, max_iters=4))
-    assert planted and res.sweeps >= 2
-
-
 def _planted_slater_mixture(M, n_det, seed):
     """Two-fermion mixture of n_det determinants phi ^ chi of random
     orthonormal orbitals: its E_f is exactly ln 2."""
@@ -1213,7 +1088,7 @@ def test_ef_exact_m4_refuses_other_shapes():
                             PHYSICS))
 
 
-CLI_EF = EfOptions(ensemble_size="rank", restarts=2, max_iters=4)
+CLI_EF = EfOptions(ensemble_size="rank", restarts=2)
 
 
 @pytest.mark.parametrize("M", [4, 6])
@@ -1321,7 +1196,7 @@ def test_ef_rank_one_input_descends_over_a_larger_ensemble(monkeypatch):
 
     monkeypatch.setattr(entmeasures, "_descend", spy)
     t = _pair_tensor(random_pure_state(RankedBasis(5, 2), seed=7))
-    res = ef_optimize(t, EfOptions(ensemble_size=3, restarts=2, max_iters=4, seed=1))
+    res = ef_optimize(t, EfOptions(ensemble_size=3, restarts=2, seed=1))
     assert shapes == [(1, 3, 1), (1, 3, 1)]
     deco = res.decomposition
     recon = (deco.members.conj().T * deco.weights) @ deco.members
@@ -1375,18 +1250,3 @@ def test_mutual_info_bounds_cuts_each_spectrum_once(monkeypatch):
     state = random_pure_state(RankedBasis(6, 3), seed=7)
     made, cut = _cuts_per_spectrum(monkeypatch, lambda: mutual_info_bounds(state))
     assert len(made) == 2 and cut == made
-
-
-def test_pair_scan_grid_is_the_objectives_own_table():
-    coef = entmeasures._COARSE_COEF
-    want = entmeasures._pair_coefs(entmeasures._COARSE_T, entmeasures._COARSE_P)
-    assert coef.shape == (31, 4) and coef.tobytes() == want.tobytes()
-    rng = np.random.default_rng(4)
-    for d in (2, 3, 4):
-        wk, wl = (rng.normal(size=d * d) + 1j * rng.normal(size=d * d) for _ in range(2))
-        vals = entmeasures._pair_values(wk, wl, want, d, d)
-        i0 = int(np.argmin(vals))
-        assert entmeasures._best_pair_rotation(wk, wl, d, d) == (
-            float(entmeasures._COARSE_T[i0]), float(entmeasures._COARSE_P[i0]),
-            float(vals[i0]))
-
