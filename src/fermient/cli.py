@@ -42,10 +42,10 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, suites
-from .config import TOL, Tolerances, tolerances_dict
+from .config import TOL, Tolerances
 from .corpus import CorpusEntry
-from .entmeasures import (EfOptions, LN2, ef_optimize, mutual_info_bounds,
-                          purity, vn_entropy, yang_analytics)
+from .entmeasures import (EfOptions, LN2, ef_fermionic_excess, ef_optimize,
+                          mutual_info_bounds, purity, vn_entropy, yang_analytics)
 from .errors import CapacityError, FermientError, NumericalError
 from .fockbasis import RankedBasis, binom
 from .hermlin import Spectrum, eig_herm, support
@@ -109,7 +109,7 @@ def _resolve_tol(pairs: list[str] | None) -> Tolerances:
 def _meta_obj(args, tol: Tolerances) -> dict:
     config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "parser")}
     meta = {"tool": "fermient", "version": __version__,
-            "config": config, "tolerances": tolerances_dict(tol)}
+            "config": config, "tolerances": dataclasses.asdict(tol)}
     if args.stamp:
         meta["generated"] = datetime.now(timezone.utc).isoformat()
     return meta
@@ -334,7 +334,7 @@ def cmd_verify(args, tol: Tolerances) -> int:
 
 def _sweep_s2(args, tol) -> tuple[list[str], list[list]]:
     rows = []
-    for N in _parse_range(args.N or "2..6"):
+    for N in _parse_range(args.N):
         M = N if args.M is None else args.M
         st = slater_state(RankedBasis(M, N), range(N))
         s2 = vn_entropy(reduce_mixed(st, 2), tol)
@@ -345,7 +345,7 @@ def _sweep_s2(args, tol) -> tuple[list[str], list[list]]:
 
 def _sweep_yang_spectrum(args, tol) -> tuple[list[str], list[list]]:
     rows = []
-    for m in _parse_range(args.m or "2..5"):
+    for m in _parse_range(args.m):
         for n in range(1, m + 1):
             ana = yang_analytics(YangParams(m, n))
             spec, diff = suites.yang_spectrum(ana, yang_state(YangParams(m, n)), tol)
@@ -372,14 +372,15 @@ def _sweep_ef(args, tol) -> tuple[list[str], list[list]]:
     rows = []
     for name, st in cases:
         res = ef_optimize(embed_wedge_to_tensor(reduce_mixed(st, 2)), opts, tol)
-        rows.append([name, st.basis.n_modes, res.value, LN2, res.value - LN2])
+        rows.append([name, st.basis.n_modes, res.value, LN2,
+                     ef_fermionic_excess(res.value)])
     return ["case", "M", "value", "floor", "excess"], rows
 
 
 def _sweep_mutual_slack(args, tol) -> tuple[list[str], list[list]]:
     rows = []
-    for M in _parse_range(args.M_range or "4..6"):
-        for N in _parse_range(args.N or "2..4"):
+    for M in _parse_range(args.M_range):
+        for N in _parse_range(args.N):
             if N > M:
                 continue
             cases = [("slater", slater_state(RankedBasis(M, N), range(N)))]
@@ -396,16 +397,8 @@ def _sweep_mutual_slack(args, tol) -> tuple[list[str], list[list]]:
     return ["case", "M", "N", "S1", "S12", "lhs", "rhs", "slack", "holds"], rows
 
 
-_SWEEPS = {
-    "s2": _sweep_s2,
-    "ef": _sweep_ef,
-    "mutual-slack": _sweep_mutual_slack,
-    "yang-spectrum": _sweep_yang_spectrum,
-}
-
-
 def cmd_sweep(args, tol: Tolerances) -> int:
-    columns, rows = _SWEEPS[args.quantity](args, tol)
+    columns, rows = _SWEEP_QUANTITIES[args.quantity][0](args, tol)
     _emit_table(columns, rows, args, tol)
     return 0
 
@@ -456,20 +449,19 @@ _VERIFY_SUITES = {
     "all": _EF,
 }
 
-_SWEEP_OPTIONS = {
-    "--N": {"help": "range like 2..6"},
-    "--M": {"type": int},
-    "--M-range": {"help": "range like 4..6"},
-    "--m": {"help": "range like 2..5"},
-    "--random": {"type": int, "default": 5, "help": "random states per grid point"},
-    "--restarts": {"type": int, "default": EfOptions.restarts},
-    "--seed": {"type": int, "default": 1},
-}
+# each quantity's table and options, default ranges included
 _SWEEP_QUANTITIES = {
-    "s2": ("--N", "--M"),
-    "ef": ("--restarts", "--seed"),
-    "mutual-slack": ("--N", "--M-range", "--random", "--seed"),
-    "yang-spectrum": ("--m",),
+    "s2": (_sweep_s2, {"--N": {"default": "2..6", "help": "range like 2..6"},
+                       "--M": {"type": int}}),
+    "ef": (_sweep_ef, {"--restarts": {"type": int, "default": EfOptions.restarts},
+                       "--seed": {"type": int, "default": 1}}),
+    "mutual-slack": (_sweep_mutual_slack, {
+        "--N": {"default": "2..4", "help": "range like 2..6"},
+        "--M-range": {"default": "4..6", "help": "range like 4..6"},
+        "--random": {"type": int, "default": 5, "help": "random states per grid point"},
+        "--seed": {"type": int, "default": 1}}),
+    "yang-spectrum": (_sweep_yang_spectrum,
+                      {"--m": {"default": "2..5", "help": "range like 2..5"}}),
 }
 
 _TABLE_FORMATS = ("json", "csv")
@@ -520,15 +512,21 @@ def _leaf(sub, name: str, func, options: dict, formats: tuple[str, ...] = (),
     sub.add_parser(name, fill=fill, allow_abbrev=False, description=kw.get("help"), **kw)
 
 
-def _group(sub, command: str, dest: str, func, options: dict, leaves: dict,
+def _group(sub, command: str, dest: str, func, leaves: dict,
            formats: tuple[str, ...] = (), **kw) -> None:
-    """A command whose kind, suite or quantity is a leaf of its own."""
+    """A command whose kind, suite or quantity is a leaf of its own; `leaves`
+    maps each leaf to its options."""
     def fill(p: argparse.ArgumentParser) -> None:
         group = _subcommands(p, dest)
-        for name, flags in leaves.items():
-            _leaf(group, name, func, {f: options[f] for f in flags}, formats)
+        for name, options in leaves.items():
+            _leaf(group, name, func, options, formats)
 
     sub.add_parser(command, fill=fill, **kw)
+
+
+def _pick(options: dict, leaves: dict) -> dict:
+    """Each leaf's options from the flags it names."""
+    return {name: {f: options[f] for f in flags} for name, flags in leaves.items()}
 
 
 @functools.cache
@@ -542,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version",
                     version=f"fermient {__version__}")
     sub = _subcommands(ap, "command")
-    _group(sub, "state", "kind", cmd_state, _STATE_OPTIONS, _STATE_KINDS,
+    _group(sub, "state", "kind", cmd_state, _pick(_STATE_OPTIONS, _STATE_KINDS),
            help="construct a state and write a fermistate file")
     _leaf(sub, "rdm", cmd_rdm, {
         "input": {},
@@ -562,9 +560,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--bits": {"action": "store_true"},
     }, _TABLE_FORMATS, help="closed-form pair-state analytics (ef_paper and "
                             "ef_alt are not the 2-RDM's E_f for n >= 2)")
-    _group(sub, "verify", "suite", cmd_verify, _VERIFY_OPTIONS, _VERIFY_SUITES,
+    _group(sub, "verify", "suite", cmd_verify, _pick(_VERIFY_OPTIONS, _VERIFY_SUITES),
            ("json", "csv", "text"), help="run bound suites, one JSON line per report")
-    _group(sub, "sweep", "quantity", cmd_sweep, _SWEEP_OPTIONS, _SWEEP_QUANTITIES,
+    _group(sub, "sweep", "quantity", cmd_sweep,
+           {q: options for q, (_, options) in _SWEEP_QUANTITIES.items()},
            _TABLE_FORMATS, help="CSV tables over parameter grids")
     return ap
 

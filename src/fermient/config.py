@@ -30,7 +30,6 @@ The other fixed limits live beside their code:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 
@@ -62,8 +61,3 @@ class Capacities:
 
 TOL = Tolerances()
 CAP = Capacities()
-
-
-def tolerances_dict(tol: Tolerances = TOL) -> dict:
-    """Serializable copy of the tolerance record (for report metadata)."""
-    return dataclasses.asdict(tol)

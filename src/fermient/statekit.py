@@ -16,8 +16,8 @@ import numpy as np
 from .config import CAP
 from .errors import (CapacityError, InvalidModeSetError, NormalizationError,
                      ShapeError)
-from .fockbasis import (RankedBasis, binom, colex_masks, modeset, rank,
-                        spread_bits)
+from .fockbasis import (MAX_MODES, RankedBasis, binom, colex_masks, modeset,
+                        rank, spread_bits)
 from .report import (FMT17, array_rows, blocks, head, read_text, records,
                      write_text)
 
@@ -57,8 +57,9 @@ class YangParams:
     n: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= self.m <= 32:
-            raise InvalidModeSetError(f"need 1 <= n <= m <= 32, got m={self.m} n={self.n}")
+        if not 1 <= self.n <= self.m <= MAX_MODES // 2:
+            raise InvalidModeSetError(f"need 1 <= n <= m <= {MAX_MODES // 2}, "
+                                      f"got m={self.m} n={self.n}")
 
 
 def _guard_dim(basis: RankedBasis) -> None:

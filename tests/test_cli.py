@@ -11,8 +11,9 @@ import sys
 import numpy as np
 import pytest
 
-from fermient import (PHYSICS, RankedBasis, cli, dumps_rdm, hermlin, load_rdm, load_state,
-                      loads_rdm, loads_state, random_pure_state, reduce_pure, rescale)
+from fermient import (PHYSICS, RankedBasis, build_corpus, cli, dumps_rdm, ef_exact_m4,
+                      entmeasures, hermlin, load_rdm, load_state, loads_rdm, loads_state,
+                      random_pure_state, reduce_pure, rescale)
 from fermient.errors import NormalizationError, NumericalError
 from fermient.report import bound_report, fmt17
 
@@ -221,6 +222,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     ["verify", "ef", "--M", "4", "--random", "0", "--restarts", "-3"],
     ["sweep", "ef", "--restarts", "-2"],
     ["sweep", "s2", "--M", "0"],
+    ["sweep", "s2", "--N", ""],
+    ["sweep", "mutual-slack", "--M-range", ""],
+    ["sweep", "yang-spectrum", "--m", ""],
 ])
 def test_malformed_values_exit_2(argv, capsys):
     assert cli.main(argv) == 2
@@ -885,3 +889,49 @@ def test_a_call_builds_only_the_parser_of_its_own_leaf(tmp_path, monkeypatch, ca
     assert sorted(added) == sorted(["-h", "--version",
                                     "-h", "input", "--k", "--bits", "--tol", "--format",
                                     "--out", "--stamp"])
+
+
+def test_verify_elem_checks_the_e_k_route_the_bound_reads(monkeypatch, capsys):
+    # elem/routes compares the product recursion behind every n-body/elem-sym
+    # rhs with subset sums; a shift that the bound reports absorb is caught
+    exact = entmeasures._elem_sym_spectrum
+    monkeypatch.setattr(entmeasures, "_elem_sym_spectrum",
+                        lambda lam, k: exact(lam, k) + 1e-9)
+    assert cli.main(["verify", "elem", "--random", "0", "--M", "4"]) == 1
+    reports = _json_lines(capsys.readouterr().out)[1:]
+    assert all(r["holds"] for r in reports if r["name"] == "n-body/elem-sym")
+    assert any(r["name"] == "elem/routes" and not r["holds"] for r in reports)
+
+
+@pytest.mark.parametrize("quantity, ranges", [
+    ("s2", {"N": "2..6"}),
+    ("mutual-slack", {"N": "2..4", "M_range": "4..6"}),
+    ("yang-spectrum", {"m": "2..5"}),
+])
+def test_sweep_headers_record_the_default_ranges_they_ran(quantity, ranges, capsys):
+    argv = ["sweep", quantity] + (["--random", "0"] if quantity == "mutual-slack" else [])
+    assert cli.main(argv) == 0
+    config = _json_lines(capsys.readouterr().out)[0]["meta"]["config"]
+    assert {k: config[k] for k in ranges} == ranges
+
+
+def test_verify_n_filter_keeps_only_its_particle_count(capsys):
+    assert cli.main(["verify", "mutual", "--random", "8", "--N", "3"]) == 0
+    reports = _json_lines(capsys.readouterr().out)[1:]
+    states = {e.name for e in build_corpus(1, 8) if e.basis.n_particles == 3}
+    assert len(states) == 6 and len(reports) == 12
+    assert {r["context"]["state"] for r in reports} == states
+
+
+def test_verify_ef_square_ensemble_meets_the_exact_four_mode_value(capsys):
+    argv = ["verify", "ef", "--random", "0", "--M", "4", "--ensemble", "square",
+            "--restarts", "1"]
+    assert cli.main(argv) == 0
+    meta, *reports = _json_lines(capsys.readouterr().out)
+    assert meta["meta"]["config"]["ensemble"] == "square"
+    exact = {e.name: ef_exact_m4(e.rdm(2)) for e in build_corpus(1, 0)
+             if e.basis.n_modes == 4 and e.basis.n_particles >= 2}
+    assert reports and {r["context"]["state"] for r in reports} == set(exact)
+    for r in reports:
+        assert r["name"] == "ef/floor"
+        assert abs(r["lhs"] - exact[r["context"]["state"]]) <= 1e-8, r

@@ -1170,7 +1170,7 @@ def test_ef_credits_no_restart_with_a_win_that_is_only_rounding():
 
 
 def test_ef_on_a_pure_pair_state_is_its_one_member_value():
-    # a rank-1 input runs the descent, polish and restarts of every input, and
+    # a rank-1 input runs the descent and restarts of every input, and
     # ends on the bits of its lone member sqrt(mu) phi, found by restart 0
     opts = dataclasses.replace(CLI_EF, seed=1)
     seen = 0
